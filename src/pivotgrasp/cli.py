@@ -63,12 +63,16 @@ def parse_angle(text: str) -> float:
     t = text.strip().lower()
     try:
         if t.endswith("deg"):
-            return math.radians(float(t[:-3]))
-        if t.endswith("rad"):
-            return float(t[:-3])
-        return float(t)
+            angle = math.radians(float(t[:-3]))
+        elif t.endswith("rad"):
+            angle = float(t[:-3])
+        else:
+            angle = float(t)
     except ValueError:
         raise CliValidationError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise CliValidationError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_mu(text: str) -> FrictionSet:
@@ -112,6 +116,13 @@ def parse_schedule(text: str) -> tuple[float, float]:
     raise CliValidationError(f"cannot parse l_a schedule {text!r} (expected start:end)")
 
 
+def parse_step(value: float, flag: str) -> float:
+    """A grid step in degrees: positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise CliValidationError(f"{flag} must be a positive finite number of degrees, got {value}")
+    return value
+
+
 def _fmt(v: float) -> float:
     return float(f"{v + 0.0:.9g}")  # + 0.0 normalises negative zero
 
@@ -152,8 +163,10 @@ def cmd_region(args) -> int:
     for la in la_values:
         if not 0 < la <= 1:
             raise CliValidationError(f"l_a {la} outside (0, 1]")
-    alpha_grid = default_alpha_grid(args.alpha_step)
-    beta_grid = default_beta_grid(args.beta_step)
+    alpha_grid = default_alpha_grid(parse_step(args.alpha_step, "--alpha-step"))
+    beta_grid = default_beta_grid(parse_step(args.beta_step, "--beta-step"))
+    if not alpha_grid:
+        raise CliValidationError(f"--alpha-step {args.alpha_step} leaves no alpha inside (0, 90) deg")
 
     out_dir = Path(args.out_dir)
     outputs = []
@@ -244,11 +257,11 @@ def cmd_simulate(args) -> int:
         if not 0 < v <= 1:
             raise CliValidationError(f"l_a {v} outside (0, 1]")
     schedule = linear_la_schedule(la_start, la_end)
-    beta_grid = default_beta_grid(args.beta_step)
-
-    traj = simulate_grasp_trajectory(obj, friction, alpha, schedule, beta_grid, delta=delta)
     if not 0 < args.la_step <= 1:
         raise CliValidationError("--la-step must lie in (0, 1]")
+    beta_grid = default_beta_grid(parse_step(args.beta_step, "--beta-step"))
+
+    traj = simulate_grasp_trajectory(obj, friction, alpha, schedule, beta_grid, delta=delta)
     n_la = math.floor(1.0 / args.la_step + 1e-9)
     la_grid = tuple(min(args.la_step * i, 1.0) for i in range(1, n_la + 1))
     gmap = grasp_plane_sweep(

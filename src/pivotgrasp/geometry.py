@@ -35,8 +35,8 @@ class ObjectSpec:
     """Rigid hollow object: half-length a, half-height b, outer/inner diameters.
 
     ``mass`` is a dimensionless surrogate; gravity is normalised so the
-    external wrench magnitude equals ``mass``. Force-balance feasibility is
-    invariant under positive scaling of it.
+    external wrench magnitude equals ``mass``. Stability is decided against
+    the direction of gravity alone, so no answer depends on the mass.
     """
 
     name: str
@@ -48,6 +48,8 @@ class ObjectSpec:
     mass: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.D, self.d, self.mass))):
+            raise GeometryError(f"{self.name}: a, b, D, d and mass must be finite")
         if self.a <= 0 or self.b <= 0 or self.D <= 0:
             raise GeometryError(f"{self.name}: a, b, D must be positive")
         if not 0 < self.d < self.D:
@@ -66,6 +68,8 @@ class GripperSpec:
     stroke: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.w) and math.isfinite(self.stroke)):
+            raise GeometryError("gripper width and stroke must be finite")
         if self.w <= 0 or self.stroke <= 0:
             raise GeometryError("gripper width and stroke must be positive")
 
@@ -176,25 +180,29 @@ def object_from_dict(doc: dict) -> tuple[ObjectSpec, GripperSpec]:
     Schema: {"name": str, "a_mm": num, "b_mm": num|null, "D_mm": num,
     "d_mm": num, "cylinder": bool, "gripper": {"w_mm": num, "stroke_mm": num}}.
     Cylinders may omit b_mm (it is forced to D/2); prisms must supply it.
+    A missing required field raises GeometryError naming it.
     """
-    name = doc["name"]
-    cylinder = bool(doc.get("cylinder", True))
-    b = doc.get("b_mm")
-    if b is None:
-        if not cylinder:
-            raise GeometryError(f"{name}: prisms must supply b_mm")
-        b = doc["D_mm"] / 2
-    obj = ObjectSpec(
-        name=name,
-        a=float(doc["a_mm"]),
-        b=float(b),
-        D=float(doc["D_mm"]),
-        d=float(doc["d_mm"]),
-        cylinder=cylinder,
-        mass=float(doc.get("mass", 1.0)),
-    )
-    g = doc["gripper"]
-    gripper = GripperSpec(w=float(g["w_mm"]), stroke=float(g["stroke_mm"]))
+    try:
+        name = doc["name"]
+        cylinder = bool(doc.get("cylinder", True))
+        b = doc.get("b_mm")
+        if b is None:
+            if not cylinder:
+                raise GeometryError(f"{name}: prisms must supply b_mm")
+            b = doc["D_mm"] / 2
+        obj = ObjectSpec(
+            name=name,
+            a=float(doc["a_mm"]),
+            b=float(b),
+            D=float(doc["D_mm"]),
+            d=float(doc["d_mm"]),
+            cylinder=cylinder,
+            mass=float(doc.get("mass", 1.0)),
+        )
+        g = doc["gripper"]
+        gripper = GripperSpec(w=float(g["w_mm"]), stroke=float(g["stroke_mm"]))
+    except KeyError as e:
+        raise GeometryError(f"{doc.get('name', '<unnamed>')}: catalog entry lacks {e.args[0]!r}") from None
     return obj, gripper
 
 

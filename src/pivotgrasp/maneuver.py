@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .geometry import GraspConfig, ObjectSpec, validate_config
-from .stability import is_stable
+from .stability import stable_cells
 
 HALF_PI = math.pi / 2
 
@@ -196,7 +198,7 @@ def simulate_grasp_trajectory(
     *,
     delta: float,
 ) -> GraspTrajectory:
-    """Evaluate force-balance stability along the prescribed schedule."""
+    """Evaluate force-balance stability along the prescribed schedule, as one batch."""
     if any(b2 < b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
         raise ValueError("beta grid must be non-decreasing")
     if not beta_grid:
@@ -206,13 +208,12 @@ def simulate_grasp_trajectory(
     if any(l2 > l1 + 1e-12 for l1, l2 in zip(las, las[1:])):
         raise ValueError("l_a schedule must be non-increasing in beta")
 
-    offset = obj.D / 2 - delta
-    samples = []
-    for beta, la in zip(beta_grid, las):
-        cfg = GraspConfig(l_a=la, alpha=alpha, beta=beta, delta=delta, hole_offset=offset)
-        samples.append(TrajectorySample(beta=beta, l_a=la, stable=is_stable(obj, cfg, friction)))
+    stable = stable_cells(obj, friction, np.array(las), alpha, np.array(beta_grid), delta=delta)
     return GraspTrajectory(
-        samples=tuple(samples),
+        samples=tuple(
+            TrajectorySample(beta=beta, l_a=la, stable=bool(ok))
+            for beta, la, ok in zip(beta_grid, las, stable)
+        ),
         initial_mark=(beta_grid[0], las[0]),
         final_mark=(beta_grid[-1], las[-1]),
     )

@@ -5,19 +5,24 @@ feasible: `force_balance` asks whether the contacts can cancel gravity,
 `form_closure` whether they immobilise the object outright. Sweeps grid the
 (alpha, beta) plane for fixed l_a; `beta_upper_bound` locates the tilt at
 which force balance is first lost.
+
+One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
+many cells goes through `stable_cells`: the batched cone kernel
+(`lp.cone_membership`) decides the cells clear of the cone boundary in one
+numpy pass, and the simplex answers the rest one by one, so a grid gives
+exactly the answers of `is_stable` cell by cell.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GraspConfig, ObjectSpec, validate_config
-from .lp import solve_force_balance, solve_form_closure
-from .wrenches import FrictionSet, contact_wrench_basis, gravity_wrench
+from .geometry import ConfigError, GraspConfig, ObjectSpec, validate_config
+from .lp import cone_membership, solve_force_balance, solve_form_closure
+from .wrenches import FrictionSet, Wrench, contact_wrench_basis, wrench_basis_grid
 
 MODES = ("force_balance", "form_closure")
 
@@ -51,6 +56,11 @@ def default_beta_grid(step_deg: float = 0.5) -> tuple[float, ...]:
 
 DEFAULT_LA_FAMILY = (0.5, 0.6, 0.7, 0.8, 0.9)
 
+# Force balance is decided against the direction of gravity: feasibility
+# does not depend on the weight, and the simplex's absolute tolerances
+# would make it depend on the mass if the weight were the target.
+UNIT_GRAVITY = Wrench(0.0, 0.0, -1.0)
+
 
 def is_stable(
     obj: ObjectSpec, cfg: GraspConfig, friction: FrictionSet, mode: str = "force_balance"
@@ -61,8 +71,57 @@ def is_stable(
     validate_config(cfg, obj)
     basis = contact_wrench_basis(obj, cfg, friction)
     if mode == "force_balance":
-        return solve_force_balance(basis, gravity_wrench(obj)).feasible
+        return solve_force_balance(basis, UNIT_GRAVITY).feasible
     return solve_form_closure(basis).feasible
+
+
+def stable_cells(
+    obj: ObjectSpec,
+    friction: FrictionSet,
+    l_a,
+    alpha,
+    beta,
+    mode: str = "force_balance",
+    *,
+    delta: float,
+) -> np.ndarray:
+    """`is_stable` on every cell of broadcast (l_a, alpha, beta) arrays.
+
+    Returns a boolean array of the broadcast shape. The first cell that
+    breaks a range constraint, in C order, runs through `is_stable` and
+    raises its ConfigError, as a cell-by-cell loop would; when every cell is
+    in range that scalar run answers the first cell. The kernel decides the
+    others, and cells it leaves undecided go to `is_stable` one at a time.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    la, al, be = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (l_a, alpha, beta)))
+    shape = la.shape
+    la, al, be = la.ravel(), al.ravel(), be.ravel()
+    if la.size == 0:
+        return np.zeros(shape, dtype=bool)
+    offset = obj.D / 2 - delta
+
+    def cell_stable(i: int) -> bool:
+        cfg = GraspConfig(
+            l_a=float(la[i]), alpha=float(al[i]), beta=float(be[i]), delta=delta, hole_offset=offset
+        )
+        return is_stable(obj, cfg, friction, mode)
+
+    in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
+    first = int(np.argmin(in_range))  # 0 when all are in range
+    first_stable = cell_stable(first)
+
+    gens = wrench_basis_grid(obj, friction, la, al, be, delta)
+    if mode == "force_balance":
+        targets = np.broadcast_to(-np.array(UNIT_GRAVITY.as_tuple()), (la.size, 3))
+    else:
+        targets = -gens.sum(axis=1)
+    stable, undecided = cone_membership(gens, targets, obj.a)
+    for i in np.flatnonzero(undecided):
+        stable[i] = cell_stable(int(i))
+    stable[first] = first_stable
+    return stable.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -92,32 +151,24 @@ def _check_axes(alpha_axis, beta_axis) -> None:
         raise ValueError("beta axis must be strictly increasing")
     if alpha_axis and not (0.0 < alpha_axis[0] and alpha_axis[-1] < HALF_PI):
         raise ValueError("alpha axis must lie inside (0, pi/2)")
+    _check_beta_range(beta_axis)
+
+
+def _check_beta_range(beta_axis) -> None:
     if beta_axis and not (0.0 <= beta_axis[0] and beta_axis[-1] <= HALF_PI):
         raise ValueError("beta axis must lie inside [0, pi/2]")
 
 
-def _row_stability(
-    obj: ObjectSpec,
-    friction: FrictionSet,
-    l_a: float,
-    delta: float,
-    alpha: float,
-    beta_axis: tuple[float, ...],
-    mode: str,
-) -> list[bool]:
-    offset = obj.D / 2 - delta
-    row = []
-    for beta in beta_axis:
-        try:
-            cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=offset)
-            row.append(is_stable(obj, cfg, friction, mode))
-        except Exception as e:  # attach grid coordinates for diagnosis
-            raise SweepCellError(alpha, beta, e) from e
-    return row
+def _sweep_cells(obj, friction, l_a, alpha, beta, mode, delta, alpha_axis, beta_axis) -> np.ndarray:
+    """`stable_cells` for a sweep with checked axes.
 
-
-def _row_worker(args) -> list[bool]:
-    return _row_stability(*args)
+    A ConfigError can then only come from the parameters all cells share, so
+    it is reported as a SweepCellError at the first cell.
+    """
+    try:
+        return stable_cells(obj, friction, l_a, alpha, beta, mode, delta=delta)
+    except ConfigError as e:
+        raise SweepCellError(alpha_axis[0], beta_axis[0], e) from e
 
 
 def region_sweep(
@@ -133,19 +184,18 @@ def region_sweep(
 ) -> RegionMap:
     """Evaluate stability on the full (alpha, beta) grid.
 
-    Cells are pure functions of their coordinates, so the result is
-    identical regardless of `workers`; rows are assembled in grid order.
+    The grid is evaluated in one batch in this process. `workers` is
+    accepted for compatibility and starts no processes; the result never
+    depends on it. A ConfigError from the grid's shared parameters is raised
+    as a SweepCellError at the grid's first cell.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     _check_axes(alpha_grid, beta_grid)
-    tasks = [(obj, friction, l_a, delta, alpha, beta_grid, mode) for alpha in alpha_grid]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        rows = [_row_worker(t) for t in tasks]
-    feasible = np.array(rows, dtype=bool).reshape(len(alpha_grid), len(beta_grid))
+    feasible = _sweep_cells(
+        obj, friction, l_a, np.array(alpha_grid)[:, None], np.array(beta_grid)[None, :], mode, delta,
+        alpha_grid, beta_grid,
+    )
     return RegionMap(
         mode=mode,
         l_a=l_a,
@@ -185,22 +235,21 @@ def grasp_plane_sweep(
     delta: float,
     workers: int = 1,
 ) -> GraspPlaneMap:
-    """Evaluate stability over (l_a, beta) at fixed alpha."""
+    """Evaluate stability over (l_a, beta) at fixed alpha.
+
+    Batched like `region_sweep`; `workers` starts no processes.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if any(b <= a for a, b in zip(la_grid, la_grid[1:])):
         raise ValueError("l_a axis must be strictly increasing")
     if la_grid and not (0.0 < la_grid[0] and la_grid[-1] <= 1.0):
         raise ValueError("l_a axis must lie inside (0, 1]")
-    if any(b <= a for a, b in zip(beta_grid, beta_grid[1:])):
-        raise ValueError("beta axis must be strictly increasing")
-    tasks = [(obj, friction, la, delta, alpha, tuple(beta_grid), mode) for la in la_grid]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_worker, tasks))
-    else:
-        rows = [_row_worker(t) for t in tasks]
-    feasible = np.array(rows, dtype=bool).reshape(len(la_grid), len(beta_grid))
+    _check_beta_range(beta_grid)
+    feasible = _sweep_cells(
+        obj, friction, np.array(la_grid)[:, None], alpha, np.array(beta_grid)[None, :], mode, delta,
+        (alpha,), beta_grid,
+    )
     return GraspPlaneMap(
         mode=mode,
         alpha=alpha,
@@ -241,8 +290,9 @@ def beta_upper_bound(
 ) -> BetaBound:
     """Largest tilt up to which force balance holds, for fixed (l_a, alpha).
 
-    Brackets feasibility transitions on a coarse degree grid, then bisects
-    each bracket down to `resolution` radians.
+    Brackets feasibility transitions on a coarse degree grid, evaluated as
+    one batch, then bisects each bracket down to `resolution` radians with
+    `is_stable`.
     """
     offset = obj.D / 2 - delta
 
@@ -250,25 +300,21 @@ def beta_upper_bound(
         cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=offset)
         return is_stable(obj, cfg, friction, "force_balance")
 
-    if not feasible(0.0):
+    coarse = degree_grid(0.0, 90.0, coarse_step_deg)
+    coarse_ok = stable_cells(obj, friction, l_a, alpha, np.array(coarse), delta=delta)
+    if not coarse_ok[0]:
         return BetaBound(value=None, finite=False, status="infeasible_at_start")
 
-    coarse = degree_grid(0.0, 90.0, coarse_step_deg)
     transitions = []
-    prev = 0.0
-    prev_ok = True
-    for beta in coarse[1:]:
-        ok = feasible(beta)
-        if prev_ok and not ok:
-            lo, hi = prev, beta
-            while hi - lo > resolution / 4:
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            transitions.append(0.5 * (lo + hi))
-        prev, prev_ok = beta, ok
+    for k in np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:]):
+        lo, hi = coarse[k], coarse[k + 1]
+        while hi - lo > resolution / 4:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                lo = mid
+            else:
+                hi = mid
+        transitions.append(0.5 * (lo + hi))
     if not transitions:
         return BetaBound(value=None, finite=False, status="not_finite")
     return BetaBound(
@@ -286,12 +332,9 @@ def min_alpha(
     step_deg: float = 0.5,
 ) -> float | None:
     """Smallest grid alpha with force balance feasible at (l_a, beta), or None."""
-    offset = obj.D / 2 - delta
-    for alpha in default_alpha_grid(step_deg):
-        cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=offset)
-        if is_stable(obj, cfg, friction, "force_balance"):
-            return alpha
-    return None
+    alphas = default_alpha_grid(step_deg)
+    hits = np.flatnonzero(stable_cells(obj, friction, l_a, np.array(alphas), beta, delta=delta))
+    return alphas[hits[0]] if hits.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import GraspConfig, ObjectSpec
 
 WRENCH_LABELS = ("S1", "S2", "H1", "H2", "G1", "G2")
@@ -43,8 +45,8 @@ class FrictionSet:
     mu_g: float
 
     def __post_init__(self):
-        if min(self.mu_s, self.mu_h, self.mu_g) < 0:
-            raise ValueError("friction coefficients must be nonnegative")
+        if not all(math.isfinite(mu) and mu >= 0 for mu in (self.mu_s, self.mu_h, self.mu_g)):
+            raise ValueError("friction coefficients must be finite and nonnegative")
 
     @property
     def gamma_s(self) -> float:
@@ -84,6 +86,30 @@ class WrenchBasis:
         return self.wrenches[i]
 
 
+def _edge_wrenches(sin, cos, a, b, l, delta, alpha, beta, gs, gh, gg):
+    """(m, fx, fy) of the six cone edges in label order.
+
+    Written once for both callers: `contact_wrench_basis` passes `math`
+    trig and floats, `wrench_basis_grid` numpy trig and broadcast arrays.
+    """
+    return (
+        ((l - a) * cos(gs) - b * sin(gs), sin(beta + gs), -cos(beta + gs)),
+        ((l - a) * cos(gs) + b * sin(gs), sin(beta - gs), -cos(beta - gs)),
+        (
+            a * sin(alpha - gh) + (b - delta) * cos(alpha - gh),
+            -cos(alpha - beta - gh),
+            sin(alpha - beta - gh),
+        ),
+        (
+            a * sin(alpha + gh) + (b - delta) * cos(alpha + gh),
+            -cos(alpha - beta + gh),
+            sin(alpha - beta + gh),
+        ),
+        (-a * cos(gg - beta) - b * sin(gg - beta), -sin(gg), cos(gg)),
+        (-a * cos(gg + beta) + b * sin(gg + beta), sin(gg), cos(gg)),
+    )
+
+
 def contact_wrench_basis(obj: ObjectSpec, cfg: GraspConfig, fr: FrictionSet) -> WrenchBasis:
     """Build the six basis contact wrenches for a grasp configuration.
 
@@ -94,43 +120,30 @@ def contact_wrench_basis(obj: ObjectSpec, cfg: GraspConfig, fr: FrictionSet) -> 
     corner; its force edges are fixed in the world while the arm rotates
     with beta.
     """
-    a, b = obj.a, obj.b
-    l = 2.0 * a * cfg.l_a
-    delta = cfg.delta
-    alpha, beta = cfg.alpha, cfg.beta
-    gs, gh, gg = fr.gamma_s, fr.gamma_h, fr.gamma_g
+    edges = _edge_wrenches(
+        math.sin, math.cos, obj.a, obj.b, 2.0 * obj.a * cfg.l_a, cfg.delta,
+        cfg.alpha, cfg.beta, fr.gamma_s, fr.gamma_h, fr.gamma_g,
+    )
+    return WrenchBasis(tuple(Wrench(*e) for e in edges))
 
-    s1 = Wrench(
-        (l - a) * math.cos(gs) - b * math.sin(gs),
-        math.sin(beta + gs),
-        -math.cos(beta + gs),
+
+def wrench_basis_grid(obj: ObjectSpec, fr: FrictionSet, l_a, alpha, beta, delta: float) -> np.ndarray:
+    """The basis of every cell of broadcast (l_a, alpha, beta) arrays.
+
+    Returns shape (N, 6, 3), N the broadcast size, cells in C order; row
+    [n, i] is (m, fx, fy) of edge i, as `contact_wrench_basis` gives it.
+    """
+    l_a, alpha, beta = (np.asarray(v, dtype=float) for v in (l_a, alpha, beta))
+    shape = np.broadcast_shapes(l_a.shape, alpha.shape, beta.shape)
+    edges = _edge_wrenches(
+        np.sin, np.cos, obj.a, obj.b, 2.0 * obj.a * l_a, delta,
+        alpha, beta, fr.gamma_s, fr.gamma_h, fr.gamma_g,
     )
-    s2 = Wrench(
-        (l - a) * math.cos(gs) + b * math.sin(gs),
-        math.sin(beta - gs),
-        -math.cos(beta - gs),
-    )
-    h1 = Wrench(
-        a * math.sin(alpha - gh) + (b - delta) * math.cos(alpha - gh),
-        -math.cos(alpha - beta - gh),
-        math.sin(alpha - beta - gh),
-    )
-    h2 = Wrench(
-        a * math.sin(alpha + gh) + (b - delta) * math.cos(alpha + gh),
-        -math.cos(alpha - beta + gh),
-        math.sin(alpha - beta + gh),
-    )
-    g1 = Wrench(
-        -a * math.cos(gg - beta) - b * math.sin(gg - beta),
-        -math.sin(gg),
-        math.cos(gg),
-    )
-    g2 = Wrench(
-        -a * math.cos(gg + beta) + b * math.sin(gg + beta),
-        math.sin(gg),
-        math.cos(gg),
-    )
-    return WrenchBasis((s1, s2, h1, h2, g1, g2))
+    out = np.empty((*shape, 6, 3))
+    for i, edge in enumerate(edges):
+        for k, value in enumerate(edge):
+            out[..., i, k] = value
+    return out.reshape(-1, 6, 3)
 
 
 def gravity_wrench(obj: ObjectSpec) -> Wrench:
