@@ -9,6 +9,7 @@ or `rad` suffix; bare numbers are radians.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,7 +22,6 @@ from .geometry import (
     hole_contact_depth,
     hole_contact_offset,
     load_catalog,
-    with_gripper_width,
 )
 from .maneuver import (
     GripperPose,
@@ -34,6 +34,7 @@ from .maneuver import (
     trajectory_csv,
 )
 from .stability import (
+    _fmt,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -123,10 +124,6 @@ def parse_step(value: float, flag: str) -> float:
     return value
 
 
-def _fmt(v: float) -> float:
-    return float(f"{v + 0.0:.9g}")  # + 0.0 normalises negative zero
-
-
 def _resolve_object(args):
     catalog = load_catalog(args.objects)
     if args.object not in catalog:
@@ -135,7 +132,7 @@ def _resolve_object(args):
         )
     obj, gripper = catalog[args.object]
     if getattr(args, "width", None) is not None:
-        obj, gripper = with_gripper_width((obj, gripper), args.width)
+        gripper = dataclasses.replace(gripper, w=args.width)
     if getattr(args, "delta", None) is not None:
         delta = args.delta
         if not 0 < delta < obj.D / 2:
@@ -193,20 +190,16 @@ def cmd_beta_ub(args) -> int:
 
     bound = beta_upper_bound(obj, friction, la, alpha, delta=delta)
     if bound.status == "infeasible_at_start":
-        doc = {"error": "infeasible_at_start"}
-        text = json.dumps(doc, indent=2) + "\n"
-        print(text, end="")
-        if args.out:
-            _write_text(Path(args.out), text)
-        return EXIT_INFEASIBLE_START
-    doc = {"beta_ub_rad": _fmt(bound.value) if bound.finite else "none"}
+        doc, code = {"error": "infeasible_at_start"}, EXIT_INFEASIBLE_START
+    else:
+        doc, code = {"beta_ub_rad": float(_fmt(bound.value)) if bound.finite else "none"}, EXIT_OK
     if bound.finite and len(bound.transitions) > 1:
-        doc["transitions_rad"] = [_fmt(t) for t in bound.transitions]
+        doc["transitions_rad"] = [float(_fmt(t)) for t in bound.transitions]
     text = json.dumps(doc, indent=2) + "\n"
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
-    return EXIT_OK
+    return code
 
 
 def cmd_traj(args) -> int:
@@ -287,8 +280,7 @@ def cmd_wrench(args) -> int:
     basis = contact_wrench_basis(obj, cfg, friction)
     lines = ["label,m,fx,fy"]
     for label, w in zip(basis.labels, basis):
-        # + 0.0 normalises negative zero
-        lines.append(f"{label},{w.m + 0.0:.9g},{w.fx + 0.0:.9g},{w.fy + 0.0:.9g}")
+        lines.append(f"{label},{_fmt(w.m)},{_fmt(w.fx)},{_fmt(w.fy)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_text(Path(args.out), text)
@@ -328,7 +320,7 @@ def cmd_ci(args) -> int:
         lo, hi = 100.0 * ci.lower, 100.0 * ci.upper
         print(f"{name:<16} {rec.successes:>3}/{rec.trials:<4} {rate:>7.2f}% {lo:>8.2f}% {hi:>8.2f}%")
         csv_lines.append(
-            f"{name},{rec.successes},{rec.trials},{rate:.9g},{lo:.9g},{hi:.9g}"
+            f"{name},{rec.successes},{rec.trials},{_fmt(rate)},{_fmt(lo)},{_fmt(hi)}"
         )
     if args.csv:
         _write_text(Path(args.csv), "\n".join(csv_lines) + "\n")

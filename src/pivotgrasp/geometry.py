@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -123,7 +123,7 @@ def config_errors(cfg: GraspConfig, obj: ObjectSpec) -> list[str]:
     errors = []
     if not 0 < cfg.l_a <= 1:
         errors.append("l_a_out_of_range")
-    if cfg.alpha <= 0:
+    if not cfg.alpha > 0:  # NaN included
         errors.append("alpha_degenerate_pinch")
     elif cfg.alpha >= HALF_PI:
         errors.append("alpha_direct_hole_grasp")
@@ -222,8 +222,3 @@ def load_catalog(path: str | Path | None = None) -> dict[str, tuple[ObjectSpec, 
         catalog[obj.name] = (obj, gripper)
     return catalog
 
-
-def with_gripper_width(pair: tuple[ObjectSpec, GripperSpec], w: float) -> tuple[ObjectSpec, GripperSpec]:
-    """Return the catalog pair with the gripper width replaced."""
-    obj, gripper = pair
-    return obj, replace(gripper, w=w)

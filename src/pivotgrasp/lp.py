@@ -11,7 +11,9 @@ decided by `cone_membership`, a numpy kernel over the 20 column triples
 (Caratheodory's theorem for cones). The kernel leaves cells within
 `CONE_BAND` of the cone boundary undecided; those, single cells and every
 certificate go to the two-phase dense simplex with Bland's rule (no cycling)
-on the 3-equality-row LP, which returns the minimising coefficients. An
+on the 3-equality-row LP, which returns the minimising coefficients. Both
+LPs reach it through one wrapper (`_solve_shifted`) that differs between
+them only in the external wrench and the lower bound. An
 independent basic-solution enumeration oracle (`oracle_force_balance`)
 cross-checks the simplex and must never be merged with it.
 """
@@ -39,15 +41,6 @@ _ITERATION_CAP = 10_000
 
 class LpDegeneracyError(RuntimeError):
     """Simplex exceeded its iteration cap; indicates a bug, not a model state."""
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Equality-constrained LP over wrench columns with a uniform lower bound."""
-
-    columns: tuple[Wrench, ...]
-    rhs: Wrench
-    lower_bound: float
 
 
 @dataclass(frozen=True)
@@ -157,15 +150,29 @@ def _solve_nonneg(
     return True, coeffs
 
 
-def _residual_inf(
+def _solve_shifted(
     columns: list[tuple[float, float, float]],
-    coeffs: list[float],
     ext: tuple[float, float, float],
-) -> float:
-    return max(
-        abs(ext[i] + sum(coeffs[j] * columns[j][i] for j in range(len(columns))))
-        for i in range(3)
+    shift: float,
+    residual_tol: float,
+) -> LpOutcome:
+    """min sum(k) s.t. ext + sum(k_j * columns[j]) = 0, k >= shift.
+
+    The shift k = shift + u with u >= 0 reuses the nonnegative simplex
+    unchanged; the residual is measured on k against the unshifted equation.
+    """
+    rhs = tuple(-e for e in ext)
+    if shift:
+        rhs = tuple(rhs[i] - shift * sum(col[i] for col in columns) for i in range(3))
+    feasible, coeffs = _solve_nonneg(columns, rhs, residual_tol)
+    if not feasible:
+        return LpOutcome(False)
+    if shift:
+        coeffs = [u + shift for u in coeffs]
+    residual = max(
+        abs(ext[i] + sum(coeffs[j] * columns[j][i] for j in range(len(columns)))) for i in range(3)
     )
+    return LpOutcome(True, coefficients=tuple(coeffs), objective=sum(coeffs), residual=residual)
 
 
 def solve_force_balance(
@@ -176,61 +183,12 @@ def solve_force_balance(
     Feasible iff -ext lies in the cone of the six columns; the returned
     coefficients minimise their sum.
     """
-    columns = basis.columns()
-    rhs = (-ext.m, -ext.fx, -ext.fy)
-    feasible, coeffs = _solve_nonneg(columns, rhs, residual_tol)
-    if not feasible:
-        return LpOutcome(False)
-    return LpOutcome(
-        True,
-        coefficients=tuple(coeffs),
-        objective=sum(coeffs),
-        residual=_residual_inf(columns, coeffs, ext.as_tuple()),
-    )
+    return _solve_shifted(basis.columns(), ext.as_tuple(), 0.0, residual_tol)
 
 
 def solve_form_closure(basis: WrenchBasis, residual_tol: float = RESIDUAL_TOL) -> LpOutcome:
-    """Does a strictly positive combination of the basis wrenches sum to zero?
-
-    The k_i >= 1 bound is handled by the shift k = 1 + u with u >= 0, which
-    reuses the nonnegative-variable simplex unchanged.
-    """
-    columns = basis.columns()
-    rhs = tuple(-sum(col[i] for col in columns) for i in range(3))
-    feasible, u = _solve_nonneg(columns, rhs, residual_tol)
-    if not feasible:
-        return LpOutcome(False)
-    coeffs = [ui + 1.0 for ui in u]
-    return LpOutcome(
-        True,
-        coefficients=tuple(coeffs),
-        objective=sum(coeffs),
-        residual=_residual_inf(columns, coeffs, (0.0, 0.0, 0.0)),
-    )
-
-
-def solve_problem(problem: LpProblem, residual_tol: float = RESIDUAL_TOL) -> LpOutcome:
-    """Solve an explicit LpProblem; the lower bound selects the formulation.
-
-    lower_bound 0 is the balance problem against -rhs as the external wrench;
-    lower_bound 1 shifts variables to reuse the nonnegative simplex.
-    """
-    columns = [w.as_tuple() for w in problem.columns]
-    shift = problem.lower_bound
-    rhs = tuple(
-        problem.rhs.as_tuple()[i] - shift * sum(col[i] for col in columns) for i in range(3)
-    )
-    feasible, u = _solve_nonneg(columns, rhs, residual_tol)
-    if not feasible:
-        return LpOutcome(False)
-    coeffs = [ui + shift for ui in u]
-    ext = tuple(-v for v in problem.rhs.as_tuple())
-    return LpOutcome(
-        True,
-        coefficients=tuple(coeffs),
-        objective=sum(coeffs),
-        residual=_residual_inf(columns, coeffs, ext),
-    )
+    """Does a strictly positive combination of the basis wrenches sum to zero?"""
+    return _solve_shifted(basis.columns(), (0.0, 0.0, 0.0), 1.0, residual_tol)
 
 
 # Batched cone membership for many cells at once (Caratheodory's theorem for

@@ -16,10 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GraspConfig, ObjectSpec, validate_config
-from .stability import stable_cells
-
-HALF_PI = math.pi / 2
+from .geometry import HALF_PI, GraspConfig, ObjectSpec, validate_config
+from .stability import _fmt, stable_cells
 
 
 @dataclass(frozen=True)
@@ -224,29 +222,23 @@ def simulate_grasp_trajectory(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> float:
-    return float(f"{v + 0.0:.9g}")  # + 0.0 normalises negative zero
-
-
 def plan_to_dict(plan: PivotPlan) -> dict:
     """JSON document for a pivot plan."""
     return {
-        "p_c": [_fmt(plan.p_c[0]), _fmt(plan.p_c[1])],
-        "r": _fmt(plan.r),
-        "theta_rad": _fmt(plan.theta),
-        "waypoints": [
-            {"x": _fmt(w.x), "y": _fmt(w.y), "phi": _fmt(w.phi)} for w in plan.waypoints
-        ],
+        "p_c": [float(_fmt(plan.p_c[0])), float(_fmt(plan.p_c[1]))],
+        "r": float(_fmt(plan.r)),
+        "theta_rad": float(_fmt(plan.theta)),
+        "waypoints": poses_to_dicts(plan.waypoints),
     }
 
 
 def poses_to_dicts(poses: tuple[GripperPose, ...]) -> list[dict]:
-    return [{"x": _fmt(p.x), "y": _fmt(p.y), "phi": _fmt(p.phi)} for p in poses]
+    return [{"x": float(_fmt(p.x)), "y": float(_fmt(p.y)), "phi": float(_fmt(p.phi))} for p in poses]
 
 
 def trajectory_csv(traj: GraspTrajectory) -> str:
     """CSV rows (beta_deg, l_a, stable) for overlay plotting on region maps."""
     lines = ["beta_deg,l_a,stable"]
     for s in traj.samples:
-        lines.append(f"{math.degrees(s.beta):.9g},{s.l_a:.9g},{1 if s.stable else 0}")
+        lines.append(f"{_fmt(math.degrees(s.beta))},{_fmt(s.l_a)},{1 if s.stable else 0}")
     return "\n".join(lines) + "\n"

@@ -2,15 +2,20 @@
 
 A configuration (l_a, alpha, beta) is stable when the selected LP is
 feasible: `force_balance` asks whether the contacts can cancel gravity,
-`form_closure` whether they immobilise the object outright. Sweeps grid the
-(alpha, beta) plane for fixed l_a; `beta_upper_bound` locates the tilt at
-which force balance is first lost.
+`form_closure` whether they immobilise the object outright. Sweeps grid a
+plane of configurations; `beta_upper_bound` locates the tilt at which force
+balance is first lost.
 
 One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
 many cells goes through `stable_cells`: the batched cone kernel
 (`lp.cone_membership`) decides the cells clear of the cone boundary in one
 numpy pass, and the simplex answers the rest one by one, so a grid gives
 exactly the answers of `is_stable` cell by cell.
+
+Both map kinds are one type, `GridMap`, filled by one sweep body: a region
+map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
+its rows at fixed alpha, and both run beta across. `RegionMap` and
+`GraspPlaneMap` are names for that type.
 """
 
 from __future__ import annotations
@@ -20,13 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConfigError, GraspConfig, ObjectSpec, validate_config
+from .geometry import HALF_PI, ConfigError, GraspConfig, ObjectSpec, validate_config
 from .lp import cone_membership, solve_force_balance, solve_form_closure
 from .wrenches import FrictionSet, Wrench, contact_wrench_basis, wrench_basis_grid
 
 MODES = ("force_balance", "form_closure")
-
-HALF_PI = math.pi / 2
 
 
 class SweepCellError(RuntimeError):
@@ -40,6 +43,8 @@ class SweepCellError(RuntimeError):
 
 def degree_grid(start_deg: float, stop_deg: float, step_deg: float) -> tuple[float, ...]:
     """Inclusive degree grid converted to radians, built from integer multiples."""
+    if not (math.isfinite(step_deg) and step_deg > 0):
+        raise ValueError(f"grid step must be positive and finite, got {step_deg}")
     n = round((stop_deg - start_deg) / step_deg)
     return tuple(math.radians(start_deg + i * step_deg) for i in range(n + 1))
 
@@ -75,6 +80,12 @@ def is_stable(
     return solve_form_closure(basis).feasible
 
 
+def _stable_at(obj, friction, l_a, alpha, beta, mode, delta) -> bool:
+    """`is_stable` at one cell given by its contact depth delta."""
+    cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=obj.D / 2 - delta)
+    return is_stable(obj, cfg, friction, mode)
+
+
 def stable_cells(
     obj: ObjectSpec,
     friction: FrictionSet,
@@ -100,13 +111,9 @@ def stable_cells(
     la, al, be = la.ravel(), al.ravel(), be.ravel()
     if la.size == 0:
         return np.zeros(shape, dtype=bool)
-    offset = obj.D / 2 - delta
 
     def cell_stable(i: int) -> bool:
-        cfg = GraspConfig(
-            l_a=float(la[i]), alpha=float(al[i]), beta=float(be[i]), delta=delta, hole_offset=offset
-        )
-        return is_stable(obj, cfg, friction, mode)
+        return _stable_at(obj, friction, float(la[i]), float(al[i]), float(be[i]), mode, delta)
 
     in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
     first = int(np.argmin(in_range))  # 0 when all are in range
@@ -125,50 +132,59 @@ def stable_cells(
 
 
 @dataclass(frozen=True)
-class RegionMap:
-    """Boolean feasibility grid over the (alpha, beta) plane for fixed l_a."""
+class GridMap:
+    """Boolean feasibility grid over (row axis, beta) with one parameter fixed.
+
+    A region map (`region_sweep`) has alpha down its rows and fixes l_a. A
+    grasp-plane map (`grasp_plane_sweep`) has l_a down its rows and fixes
+    alpha; it is the companion map for overlaying simulated grasp
+    trajectories, whose samples live in that plane.
+    """
 
     mode: str
-    l_a: float
+    fixed: float
     delta: float
     friction: FrictionSet
-    alpha_axis: tuple[float, ...]
+    row_axis: tuple[float, ...]
     beta_axis: tuple[float, ...]
-    feasible: np.ndarray  # shape (len(alpha_axis), len(beta_axis)), bool
+    feasible: np.ndarray  # shape (len(row_axis), len(beta_axis)), bool
 
     def __post_init__(self):
-        if self.feasible.shape != (len(self.alpha_axis), len(self.beta_axis)):
+        if self.feasible.shape != (len(self.row_axis), len(self.beta_axis)):
             raise ValueError("feasible matrix shape does not match axes")
 
     def feasible_cells(self) -> int:
         return int(self.feasible.sum())
 
 
-def _check_axes(alpha_axis, beta_axis) -> None:
-    if any(b <= a for a, b in zip(alpha_axis, alpha_axis[1:])):
-        raise ValueError("alpha axis must be strictly increasing")
-    if any(b <= a for a, b in zip(beta_axis, beta_axis[1:])):
-        raise ValueError("beta axis must be strictly increasing")
-    if alpha_axis and not (0.0 < alpha_axis[0] and alpha_axis[-1] < HALF_PI):
-        raise ValueError("alpha axis must lie inside (0, pi/2)")
-    _check_beta_range(beta_axis)
+RegionMap = GridMap
+GraspPlaneMap = GridMap
 
 
-def _check_beta_range(beta_axis) -> None:
-    if beta_axis and not (0.0 <= beta_axis[0] and beta_axis[-1] <= HALF_PI):
-        raise ValueError("beta axis must lie inside [0, pi/2]")
+def _check_axis(name: str, axis, inside) -> None:
+    """Reject an empty or non-increasing axis, or one with a value (NaN included) not `inside`."""
+    if not axis:
+        raise ValueError(f"{name} axis is empty")
+    for v in axis:
+        if not inside(v):
+            raise ValueError(f"{name} axis value {v!r} lies outside its range")
+    if any(b <= a for a, b in zip(axis, axis[1:])):
+        raise ValueError(f"{name} axis must be strictly increasing")
 
 
-def _sweep_cells(obj, friction, l_a, alpha, beta, mode, delta, alpha_axis, beta_axis) -> np.ndarray:
-    """`stable_cells` for a sweep with checked axes.
+def _grid_sweep(obj, friction, mode, delta, l_a, alpha, fixed, row_axis, beta_axis) -> GridMap:
+    """`stable_cells` over a checked row axis against a beta axis.
 
-    A ConfigError can then only come from the parameters all cells share, so
-    it is reported as a SweepCellError at the first cell.
+    One of `l_a` and `alpha` is the row axis as a column, the other the
+    fixed value. A ConfigError can then only come from the parameters all
+    cells share, so it is reported as a SweepCellError at the first cell.
     """
+    _check_axis("beta", beta_axis, lambda v: 0.0 <= v <= HALF_PI)
     try:
-        return stable_cells(obj, friction, l_a, alpha, beta, mode, delta=delta)
+        feasible = stable_cells(obj, friction, l_a, alpha, np.array(beta_axis)[None, :], mode, delta=delta)
     except ConfigError as e:
-        raise SweepCellError(alpha_axis[0], beta_axis[0], e) from e
+        raise SweepCellError(float(np.ravel(alpha)[0]), beta_axis[0], e) from e
+    return GridMap(mode, fixed, delta, friction, tuple(row_axis), tuple(beta_axis), feasible)
 
 
 def region_sweep(
@@ -181,47 +197,18 @@ def region_sweep(
     *,
     delta: float,
     workers: int = 1,
-) -> RegionMap:
-    """Evaluate stability on the full (alpha, beta) grid.
+) -> GridMap:
+    """Evaluate stability on the full (alpha, beta) grid at fixed l_a.
 
     The grid is evaluated in one batch in this process. `workers` is
     accepted for compatibility and starts no processes; the result never
     depends on it. A ConfigError from the grid's shared parameters is raised
     as a SweepCellError at the grid's first cell.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    _check_axes(alpha_grid, beta_grid)
-    feasible = _sweep_cells(
-        obj, friction, l_a, np.array(alpha_grid)[:, None], np.array(beta_grid)[None, :], mode, delta,
-        alpha_grid, beta_grid,
+    _check_axis("alpha", alpha_grid, lambda v: 0.0 < v < HALF_PI)
+    return _grid_sweep(
+        obj, friction, mode, delta, l_a, np.array(alpha_grid)[:, None], l_a, alpha_grid, beta_grid
     )
-    return RegionMap(
-        mode=mode,
-        l_a=l_a,
-        delta=delta,
-        friction=friction,
-        alpha_axis=tuple(alpha_grid),
-        beta_axis=tuple(beta_grid),
-        feasible=feasible,
-    )
-
-
-@dataclass(frozen=True)
-class GraspPlaneMap:
-    """Feasibility grid over the (l_a, beta) plane for fixed alpha.
-
-    This is the companion map for overlaying simulated grasp trajectories,
-    whose samples live in the same plane.
-    """
-
-    mode: str
-    alpha: float
-    delta: float
-    friction: FrictionSet
-    la_axis: tuple[float, ...]
-    beta_axis: tuple[float, ...]
-    feasible: np.ndarray  # shape (len(la_axis), len(beta_axis)), bool
 
 
 def grasp_plane_sweep(
@@ -234,30 +221,15 @@ def grasp_plane_sweep(
     *,
     delta: float,
     workers: int = 1,
-) -> GraspPlaneMap:
+) -> GridMap:
     """Evaluate stability over (l_a, beta) at fixed alpha.
 
-    Batched like `region_sweep`; `workers` starts no processes.
+    Batched like `region_sweep`; `workers` starts no processes. A
+    ConfigError is raised as a SweepCellError at (alpha, first beta).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if any(b <= a for a, b in zip(la_grid, la_grid[1:])):
-        raise ValueError("l_a axis must be strictly increasing")
-    if la_grid and not (0.0 < la_grid[0] and la_grid[-1] <= 1.0):
-        raise ValueError("l_a axis must lie inside (0, 1]")
-    _check_beta_range(beta_grid)
-    feasible = _sweep_cells(
-        obj, friction, np.array(la_grid)[:, None], alpha, np.array(beta_grid)[None, :], mode, delta,
-        (alpha,), beta_grid,
-    )
-    return GraspPlaneMap(
-        mode=mode,
-        alpha=alpha,
-        delta=delta,
-        friction=friction,
-        la_axis=tuple(la_grid),
-        beta_axis=tuple(beta_grid),
-        feasible=feasible,
+    _check_axis("l_a", la_grid, lambda v: 0.0 < v <= 1.0)
+    return _grid_sweep(
+        obj, friction, mode, delta, np.array(la_grid)[:, None], alpha, alpha, la_grid, beta_grid
     )
 
 
@@ -294,12 +266,6 @@ def beta_upper_bound(
     one batch, then bisects each bracket down to `resolution` radians with
     `is_stable`.
     """
-    offset = obj.D / 2 - delta
-
-    def feasible(beta: float) -> bool:
-        cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=offset)
-        return is_stable(obj, cfg, friction, "force_balance")
-
     coarse = degree_grid(0.0, 90.0, coarse_step_deg)
     coarse_ok = stable_cells(obj, friction, l_a, alpha, np.array(coarse), delta=delta)
     if not coarse_ok[0]:
@@ -310,7 +276,7 @@ def beta_upper_bound(
         lo, hi = coarse[k], coarse[k + 1]
         while hi - lo > resolution / 4:
             mid = 0.5 * (lo + hi)
-            if feasible(mid):
+            if _stable_at(obj, friction, l_a, alpha, mid, "force_balance", delta):
                 lo = mid
             else:
                 hi = mid
@@ -343,25 +309,26 @@ def min_alpha(
 
 
 def _fmt(v: float) -> str:
+    """A number with 9 significant digits, as every output file writes it."""
     return f"{v + 0.0:.9g}"  # + 0.0 normalises negative zero
 
 
-def region_map_csv(rmap: RegionMap) -> str:
-    """Grid as CSV: header row of beta values (deg), first column alpha (deg), cells 0/1."""
-    lines = ["alpha_deg/beta_deg," + ",".join(_fmt(math.degrees(b)) for b in rmap.beta_axis)]
-    for i, alpha in enumerate(rmap.alpha_axis):
-        cells = ",".join("1" if rmap.feasible[i, j] else "0" for j in range(len(rmap.beta_axis)))
-        lines.append(_fmt(math.degrees(alpha)) + "," + cells)
+def _grid_csv(row_label: str, row_values, gmap: GridMap) -> str:
+    """Header row of beta values (deg), first column `row_values`, cells 0/1."""
+    lines = [f"{row_label}/beta_deg," + ",".join(_fmt(math.degrees(b)) for b in gmap.beta_axis)]
+    for value, row in zip(row_values, gmap.feasible.tolist()):
+        lines.append(_fmt(value) + "," + ",".join("1" if c else "0" for c in row))
     return "\n".join(lines) + "\n"
 
 
-def grasp_plane_csv(gmap: GraspPlaneMap) -> str:
-    """Grid as CSV: header row of beta values (deg), first column l_a, cells 0/1."""
-    lines = ["l_a/beta_deg," + ",".join(_fmt(math.degrees(b)) for b in gmap.beta_axis)]
-    for i, la in enumerate(gmap.la_axis):
-        cells = ",".join("1" if gmap.feasible[i, j] else "0" for j in range(len(gmap.beta_axis)))
-        lines.append(_fmt(la) + "," + cells)
-    return "\n".join(lines) + "\n"
+def region_map_csv(rmap: GridMap) -> str:
+    """Region map as CSV: header row of beta values (deg), first column alpha (deg), cells 0/1."""
+    return _grid_csv("alpha_deg", map(math.degrees, rmap.row_axis), rmap)
+
+
+def grasp_plane_csv(gmap: GridMap) -> str:
+    """Grasp-plane map as CSV: header row of beta values (deg), first column l_a, cells 0/1."""
+    return _grid_csv("l_a", gmap.row_axis, gmap)
 
 
 def _grid_meta(axis_rad: tuple[float, ...]) -> dict:
@@ -373,32 +340,8 @@ def _grid_meta(axis_rad: tuple[float, ...]) -> dict:
     }
 
 
-def region_map_meta(rmap: RegionMap, obj: ObjectSpec) -> dict:
-    """JSON sidecar content describing a region map."""
-    return {
-        "object": {
-            "name": obj.name,
-            "a_mm": obj.a,
-            "b_mm": obj.b,
-            "D_mm": obj.D,
-            "d_mm": obj.d,
-            "cylinder": obj.cylinder,
-        },
-        "friction": {
-            "mu_S": rmap.friction.mu_s,
-            "mu_H": rmap.friction.mu_h,
-            "mu_G": rmap.friction.mu_g,
-        },
-        "l_a": rmap.l_a,
-        "delta_mm": float(_fmt(rmap.delta)),
-        "mode": rmap.mode,
-        "alpha_grid": _grid_meta(rmap.alpha_axis),
-        "beta_grid": _grid_meta(rmap.beta_axis),
-        "feasible_cells": rmap.feasible_cells(),
-    }
-
-
-def grasp_plane_meta(gmap: GraspPlaneMap, obj: ObjectSpec) -> dict:
+def _map_meta(gmap: GridMap, obj: ObjectSpec, fixed_key: str, fixed, rows_key: str, rows: dict) -> dict:
+    """Sidecar content shared by both map kinds, in their common key order."""
     return {
         "object": {
             "name": obj.name,
@@ -413,9 +356,25 @@ def grasp_plane_meta(gmap: GraspPlaneMap, obj: ObjectSpec) -> dict:
             "mu_H": gmap.friction.mu_h,
             "mu_G": gmap.friction.mu_g,
         },
-        "alpha_rad": float(_fmt(gmap.alpha)),
+        fixed_key: fixed,
         "delta_mm": float(_fmt(gmap.delta)),
         "mode": gmap.mode,
-        "la_grid": {"start": gmap.la_axis[0], "stop": gmap.la_axis[-1], "count": len(gmap.la_axis)},
+        rows_key: rows,
         "beta_grid": _grid_meta(gmap.beta_axis),
     }
+
+
+def region_map_meta(rmap: GridMap, obj: ObjectSpec) -> dict:
+    """JSON sidecar content describing a region map."""
+    meta = _map_meta(rmap, obj, "l_a", rmap.fixed, "alpha_grid", _grid_meta(rmap.row_axis))
+    meta["feasible_cells"] = rmap.feasible_cells()
+    return meta
+
+
+def grasp_plane_meta(gmap: GridMap, obj: ObjectSpec) -> dict:
+    """JSON sidecar content describing a grasp-plane map."""
+    la = gmap.row_axis
+    return _map_meta(
+        gmap, obj, "alpha_rad", float(_fmt(gmap.fixed)),
+        "la_grid", {"start": la[0], "stop": la[-1], "count": len(la)},
+    )

@@ -6,8 +6,20 @@ import math
 import pytest
 
 import pivotgrasp.cli as cli
-from pivotgrasp.geometry import GeometryError, GripperSpec, ObjectSpec, load_catalog
+from pivotgrasp.geometry import (
+    ConfigError,
+    GeometryError,
+    GraspConfig,
+    GripperSpec,
+    ObjectSpec,
+    config_errors,
+    load_catalog,
+)
+from pivotgrasp.stability import degree_grid, grasp_plane_sweep, is_stable, region_sweep
 from pivotgrasp.wrenches import FrictionSet
+
+BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
+SET_C = FrictionSet(0.2, 0.4, 0.4)
 
 
 def run(argv, capsys):
@@ -112,3 +124,43 @@ def test_region_rejects_nan_width(tmp_path, capsys):
         "--width", "nan", "--out-dir", str(tmp_path),
     ], capsys)
     assert code == 2
+
+
+def test_nan_alpha_is_a_config_error():
+    cfg = GraspConfig(l_a=0.9, alpha=math.nan, beta=0.0, delta=7.2, hole_offset=9.8)
+    assert config_errors(cfg, BUSHING) != []
+    with pytest.raises(ConfigError):
+        is_stable(BUSHING, cfg, SET_C)
+
+
+@pytest.mark.parametrize("sweep, axes", [
+    (region_sweep, ((0.2, math.nan, 0.6), (0.0, 0.3))),
+    (region_sweep, ((0.2, 0.6), (0.0, math.nan, 0.3))),
+    (grasp_plane_sweep, ((0.4, math.nan, 0.8), (0.0, 0.3))),
+])
+def test_sweeps_reject_nan_inside_an_axis(sweep, axes):
+    with pytest.raises(ValueError, match="nan"):
+        sweep(BUSHING, SET_C, 0.4, *axes, delta=7.2)
+
+
+@pytest.mark.parametrize("sweep, axes, name", [
+    (region_sweep, ((), (0.0, 0.3)), "alpha"),
+    (region_sweep, ((0.2, 0.6), ()), "beta"),
+    (grasp_plane_sweep, ((), (0.0, 0.3)), "l_a"),
+])
+def test_sweeps_reject_an_empty_axis(sweep, axes, name):
+    with pytest.raises(ValueError, match=f"{name} axis is empty"):
+        sweep(BUSHING, SET_C, 0.4, *axes, delta=7.2)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_degree_grid_rejects_bad_steps(step):
+    with pytest.raises(ValueError, match="step"):
+        degree_grid(0.0, 10.0, step)
+
+
+def test_grasp_plane_sweep_checks_beta_like_region_sweep():
+    with pytest.raises(ValueError, match="increasing"):
+        grasp_plane_sweep(BUSHING, SET_C, 0.3, (0.5, 0.9), (0.3, 0.0), delta=7.2)
+    gmap = grasp_plane_sweep(BUSHING, SET_C, math.pi / 10, (0.5, 0.9), (0.0, 0.3, 1.2), delta=7.2)
+    assert gmap.feasible_cells() == int(gmap.feasible.sum()) > 0
