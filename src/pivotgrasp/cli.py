@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
+import shutil
 import sys
+from collections.abc import Collection
 from pathlib import Path
 
 from .geometry import (
@@ -124,6 +127,13 @@ def parse_step(value: float, flag: str) -> float:
     return value
 
 
+def check_la(value: float) -> float:
+    """A contact distance l_a: inside (0, 1]."""
+    if not 0 < value <= 1:
+        raise CliValidationError(f"l_a {value} outside (0, 1]")
+    return value
+
+
 def _resolve_object(args):
     catalog = load_catalog(args.objects)
     if args.object not in catalog:
@@ -156,10 +166,7 @@ def cmd_region(args) -> int:
     obj, _gripper, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     mode = args.mode.replace("-", "_")
-    la_values = parse_la_list(args.la)
-    for la in la_values:
-        if not 0 < la <= 1:
-            raise CliValidationError(f"l_a {la} outside (0, 1]")
+    la_values = [check_la(la) for la in parse_la_list(args.la)]
     alpha_grid = default_alpha_grid(parse_step(args.alpha_step, "--alpha-step"))
     beta_grid = default_beta_grid(parse_step(args.beta_step, "--beta-step"))
     if not alpha_grid:
@@ -183,9 +190,7 @@ def cmd_region(args) -> int:
 def cmd_beta_ub(args) -> int:
     obj, _gripper, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
-    la = args.la
-    if not 0 < la <= 1:
-        raise CliValidationError(f"l_a {la} outside (0, 1]")
+    la = check_la(args.la)
     alpha = parse_angle(args.alpha)
 
     bound = beta_upper_bound(obj, friction, la, alpha, delta=delta)
@@ -204,7 +209,7 @@ def cmd_beta_ub(args) -> int:
 
 def cmd_traj(args) -> int:
     obj, _gripper, delta = _resolve_object(args)
-    la = args.la
+    la = check_la(args.la)
     alpha = parse_angle(args.alpha)
     beta0 = parse_angle(args.beta0)
     cfg = config_from_delta(obj, la, alpha, beta0, delta)
@@ -245,10 +250,7 @@ def cmd_simulate(args) -> int:
     obj, _gripper, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     alpha = parse_angle(args.alpha)
-    la_start, la_end = parse_schedule(args.la_schedule)
-    for v in (la_start, la_end):
-        if not 0 < v <= 1:
-            raise CliValidationError(f"l_a {v} outside (0, 1]")
+    la_start, la_end = (check_la(v) for v in parse_schedule(args.la_schedule))
     schedule = linear_la_schedule(la_start, la_end)
     if not 0 < args.la_step <= 1:
         raise CliValidationError("--la-step must lie in (0, 1]")
@@ -276,7 +278,7 @@ def cmd_simulate(args) -> int:
 def cmd_wrench(args) -> int:
     obj, _gripper, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
-    cfg = config_from_delta(obj, args.la, parse_angle(args.alpha), parse_angle(args.beta), delta)
+    cfg = config_from_delta(obj, check_la(args.la), parse_angle(args.alpha), parse_angle(args.beta), delta)
     basis = contact_wrench_basis(obj, cfg, friction)
     lines = ["label,m,fx,fy"]
     for label, w in zip(basis.labels, basis):
@@ -302,11 +304,10 @@ def cmd_ci(args) -> int:
     names = args.names.split(",") if args.names else []
     for i, pair in enumerate(args.pairs):
         try:
-            k, n = pair.split("/")
-            rec = TrialRecord(int(k), int(n), z=args.z, name=names[i] if i < len(names) else pair)
-        except (ValueError, IndexError):
+            k, n = (int(v) for v in pair.split("/"))
+        except ValueError:
             raise CliValidationError(f"cannot parse trial pair {pair!r} (expected k/n)") from None
-        records.append(rec)
+        records.append(TrialRecord(k, n, z=args.z, name=names[i] if i < len(names) else pair))
     if not records:
         raise CliValidationError("no trial records given")
 
@@ -339,14 +340,7 @@ def _add_object_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=None, help="override hole contact depth (mm)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pivotgrasp",
-        description="Stability analysis and trajectory generation for pivot-based hole grasps",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("region", help="sweep stable-region maps over the (alpha, beta) plane")
+def _region_args(p: argparse.ArgumentParser) -> None:
     _add_object_args(p)
     p.add_argument("--mu", required=True, help="friction coefficients mu_S,mu_H,mu_G")
     p.add_argument("--la", default=",".join(str(v) for v in DEFAULT_LA_FAMILY),
@@ -358,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1, help="sweep worker count")
     p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("beta-ub", help="locate the tilt bound where force balance is lost")
+
+def _beta_ub_args(p: argparse.ArgumentParser) -> None:
     _add_object_args(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--la", type=float, required=True)
@@ -366,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the JSON result here")
     p.set_defaults(func=cmd_beta_ub)
 
-    p = sub.add_parser("traj", help="generate the pivot arc (and optionally align) waypoints")
+
+def _traj_args(p: argparse.ArgumentParser) -> None:
     _add_object_args(p)
     p.add_argument("--la", type=float, required=True)
     p.add_argument("--alpha", required=True)
@@ -381,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--align-out", default=None, help="also write align-phase waypoints here")
     p.set_defaults(func=cmd_traj)
 
-    p = sub.add_parser("simulate", help="simulate a grasp trajectory with a sliding schedule")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     _add_object_args(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--alpha", required=True)
@@ -392,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("wrench", help="dump the six basis contact wrenches as CSV")
+
+def _wrench_args(p: argparse.ArgumentParser) -> None:
     _add_object_args(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--la", type=float, required=True)
@@ -401,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_wrench)
 
-    p = sub.add_parser("ci", help="Wilson score confidence intervals for success/trial pairs")
+
+def _ci_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("pairs", nargs="*", help="trial pairs like 9/10")
     p.add_argument("--z", type=float, default=1.96, help="normal critical value (default 95%%)")
     p.add_argument("--names", default=None, help="comma-separated names for the pairs")
@@ -409,12 +408,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write the table as CSV here")
     p.set_defaults(func=cmd_ci)
 
+
+# Subcommand name -> (help line, function adding its arguments), in help order.
+_COMMANDS = {
+    "region": ("sweep stable-region maps over the (alpha, beta) plane", _region_args),
+    "beta-ub": ("locate the tilt bound where force balance is lost", _beta_ub_args),
+    "traj": ("generate the pivot arc (and optionally align) waypoints", _traj_args),
+    "simulate": ("simulate a grasp trajectory with a sliding schedule", _simulate_args),
+    "wrench": ("dump the six basis contact wrenches as CSV", _wrench_args),
+    "ci": ("Wilson score confidence intervals for success/trial pairs", _ci_args),
+}
+
+
+def build_parser(commands: Collection[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI's argument parser.
+
+    Every subcommand is listed, so usage, help and errors read the same
+    whatever `commands` holds, but only the subcommands named in `commands`
+    (all when it is None) get their arguments. Argparse hands the rest of a
+    command line to the subcommand named by one of its words, so `main`
+    passes those words and builds only the subcommand that runs.
+    """
+    # argparse asks for the terminal width at every argument it adds;
+    # one width for the whole parser gives the same help text.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="pivotgrasp",
+        description="Stability analysis and trajectory generation for pivot-based hole grasps",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
+        if commands is None or name in commands:
+            add_args(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.func(args)
     except (CliValidationError, ConfigError, GeometryError, ValueError) as e:

@@ -208,10 +208,7 @@ def simulate_grasp_trajectory(
 
     stable = stable_cells(obj, friction, np.array(las), alpha, np.array(beta_grid), delta=delta)
     return GraspTrajectory(
-        samples=tuple(
-            TrajectorySample(beta=beta, l_a=la, stable=bool(ok))
-            for beta, la, ok in zip(beta_grid, las, stable)
-        ),
+        samples=tuple(map(TrajectorySample, beta_grid, las, stable.tolist())),
         initial_mark=(beta_grid[0], las[0]),
         final_mark=(beta_grid[-1], las[-1]),
     )

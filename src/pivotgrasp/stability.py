@@ -7,10 +7,12 @@ plane of configurations; `beta_upper_bound` locates the tilt at which force
 balance is first lost.
 
 One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
-many cells goes through `stable_cells`: the batched cone kernel
-(`lp.cone_membership`) decides the cells clear of the cone boundary in one
-numpy pass, and the simplex answers the rest one by one, so a grid gives
-exactly the answers of `is_stable` cell by cell.
+many cells goes through the batched cone kernel (`lp.cone_membership`),
+which decides the cells clear of the cone boundary in one numpy pass while
+the simplex answers the rest one by one, so a grid gives exactly the
+answers of `is_stable` cell by cell. Grids go through `stable_cells`; the
+bisection of `beta_upper_bound` is batched too, deciding several levels of
+midpoints of every bracket in one kernel call.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -112,13 +114,20 @@ def stable_cells(
     if la.size == 0:
         return np.zeros(shape, dtype=bool)
 
-    def cell_stable(i: int) -> bool:
-        return _stable_at(obj, friction, float(la[i]), float(al[i]), float(be[i]), mode, delta)
-
     in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
     first = int(np.argmin(in_range))  # 0 when all are in range
-    first_stable = cell_stable(first)
+    first_stable = _stable_at(obj, friction, float(la[first]), float(al[first]), float(be[first]), mode, delta)
+    stable = _kernel_cells(obj, friction, la, al, be, mode, delta)
+    stable[first] = first_stable
+    return stable.reshape(shape)
 
+
+def _kernel_cells(obj, friction, la, al, be, mode, delta) -> np.ndarray:
+    """`is_stable` on flat, equally long arrays of in-range cells.
+
+    The kernel decides the cells clear of the cone boundary; the cells it
+    leaves undecided go to `is_stable` one at a time.
+    """
     gens = wrench_basis_grid(obj, friction, la, al, be, delta)
     if mode == "force_balance":
         targets = np.broadcast_to(-np.array(UNIT_GRAVITY.as_tuple()), (la.size, 3))
@@ -126,9 +135,8 @@ def stable_cells(
         targets = -gens.sum(axis=1)
     stable, undecided = cone_membership(gens, targets, obj.a)
     for i in np.flatnonzero(undecided):
-        stable[i] = cell_stable(int(i))
-    stable[first] = first_stable
-    return stable.reshape(shape)
+        stable[i] = _stable_at(obj, friction, float(la[i]), float(al[i]), float(be[i]), mode, delta)
+    return stable
 
 
 @dataclass(frozen=True)
@@ -250,6 +258,60 @@ class BetaBound:
     transitions: tuple[float, ...] = ()
 
 
+# Levels of midpoints decided per kernel call in the bound's bisection: a
+# tree of 2**5 - 1 = 31 midpoints per bracket. Two calls cover the 10
+# halvings that take a 1 degree bracket below the default resolution / 4.
+_BISECT_LEVELS = 5
+
+
+def _midpoint_tree(lo: float, hi: float, tol: float) -> dict[int, float]:
+    """The midpoints the bisection loop can visit in its next `_BISECT_LEVELS` steps.
+
+    Keyed in heap order: node i splits its interval at its midpoint into
+    the unstable half, node 2i + 1, and the stable half, node 2i + 2. Only
+    intervals the loop would still split, `hi - lo > tol`, get a node.
+    """
+    tree, todo = {}, [(0, lo, hi)]
+    while todo:
+        i, lo, hi = todo.pop()
+        if i < 2**_BISECT_LEVELS - 1 and hi - lo > tol:
+            tree[i] = mid = 0.5 * (lo + hi)
+            todo += [(2 * i + 1, lo, mid), (2 * i + 2, mid, hi)]
+    return tree
+
+
+def _bisect(obj, friction, l_a, alpha, delta, brackets, tol: float) -> list[tuple[float, float]]:
+    """Bisect every force-balance bracket (lo, hi) until hi - lo <= tol.
+
+    This is the loop `mid = 0.5 * (lo + hi)`, keep the stable half, while
+    `hi - lo > tol`, run for all brackets together: each round decides the
+    midpoint trees of all brackets in one kernel call and walks each
+    bracket down its decided path. The midpoints are the ones the scalar
+    loop visits, computed by the same float operation, so the result is
+    bit for bit the same.
+    """
+    while True:
+        trees = [_midpoint_tree(lo, hi, tol) for lo, hi in brackets]
+        betas = np.array([m for tree in trees for m in tree.values()])
+        if betas.size == 0:
+            return brackets
+        ok = iter(_kernel_cells(
+            obj, friction, np.full(betas.size, float(l_a)), np.full(betas.size, float(alpha)),
+            betas, "force_balance", delta,
+        ).tolist())
+        walked = []
+        for (lo, hi), tree in zip(brackets, trees):
+            stable = {i: next(ok) for i in tree}
+            i = 0
+            while i in tree:
+                if stable[i]:
+                    lo, i = tree[i], 2 * i + 2
+                else:
+                    hi, i = tree[i], 2 * i + 1
+            walked.append((lo, hi))
+        brackets = walked
+
+
 def beta_upper_bound(
     obj: ObjectSpec,
     friction: FrictionSet,
@@ -263,29 +325,24 @@ def beta_upper_bound(
     """Largest tilt up to which force balance holds, for fixed (l_a, alpha).
 
     Brackets feasibility transitions on a coarse degree grid, evaluated as
-    one batch, then bisects each bracket down to `resolution` radians with
-    `is_stable`.
+    one batch, then bisects each bracket down to `resolution` radians.
+    The bisection is batched: every kernel call decides the next five
+    levels of midpoints of all brackets at once, with the simplex for
+    cells near the cone boundary, so the bound is the one a scalar loop of
+    `is_stable` calls finds.
     """
-    coarse = degree_grid(0.0, 90.0, coarse_step_deg)
-    coarse_ok = stable_cells(obj, friction, l_a, alpha, np.array(coarse), delta=delta)
+    betas = np.array(degree_grid(0.0, 90.0, coarse_step_deg))
+    coarse_ok = stable_cells(obj, friction, l_a, alpha, betas, delta=delta)
     if not coarse_ok[0]:
         return BetaBound(value=None, finite=False, status="infeasible_at_start")
 
-    transitions = []
-    for k in np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:]):
-        lo, hi = coarse[k], coarse[k + 1]
-        while hi - lo > resolution / 4:
-            mid = 0.5 * (lo + hi)
-            if _stable_at(obj, friction, l_a, alpha, mid, "force_balance", delta):
-                lo = mid
-            else:
-                hi = mid
-        transitions.append(0.5 * (lo + hi))
-    if not transitions:
+    k = np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:])
+    if k.size == 0:
         return BetaBound(value=None, finite=False, status="not_finite")
-    return BetaBound(
-        value=transitions[0], finite=True, status="finite", transitions=tuple(transitions)
-    )
+    brackets = list(zip(betas[k].tolist(), betas[k + 1].tolist()))
+    brackets = _bisect(obj, friction, l_a, alpha, delta, brackets, resolution / 4)
+    transitions = tuple(0.5 * (lo + hi) for lo, hi in brackets)
+    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=transitions)
 
 
 def min_alpha(

@@ -24,8 +24,8 @@ class TrialRecord:
             raise ValueError("need at least one trial")
         if not 0 <= self.successes <= self.trials:
             raise ValueError("successes must lie in [0, trials]")
-        if self.z <= 0:
-            raise ValueError("z must be positive")
+        if not (math.isfinite(self.z) and self.z > 0):
+            raise ValueError(f"z must be positive and finite, got {self.z}")
 
     @property
     def rate(self) -> float:

@@ -7,11 +7,13 @@ import pytest
 
 from pivotgrasp.cli import (
     CliValidationError,
+    build_parser,
     main,
     parse_angle,
     parse_mu,
     parse_schedule,
 )
+from pivotgrasp.geometry import load_catalog
 
 
 class TestParsing:
@@ -249,3 +251,85 @@ class TestCi:
 
     def test_no_records_exits_2(self):
         assert main(["ci"]) == 2
+
+
+class TestParser:
+    # Command lines whose output comes from argparse itself: help, usage
+    # errors, unknown or missing subcommands and arguments.
+    LINES = [[], ["--help"], ["-h", "ci"], ["bogus"], ["--foo", "ci"], ["ci", "--bad"],
+             ["region"], ["region", "--objec", "bushing"], ["wrench", "--help", "extra"]] + [
+        [name, flag] for name in ("region", "beta-ub", "traj", "simulate", "wrench", "ci")
+        for flag in ("--help", "--object")
+    ]
+
+    @staticmethod
+    def outcome(parser, argv, capsys):
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args(argv)
+        return stop.value.code, capsys.readouterr()
+
+    def test_parser_of_the_named_commands_reads_like_the_full_one(self, capsys):
+        for argv in self.LINES:
+            full = self.outcome(build_parser(), argv, capsys)
+            assert self.outcome(build_parser(set(argv)), argv, capsys) == full, argv
+            assert full[1].out or full[1].err
+
+    def test_only_the_named_commands_get_arguments(self, capsys):
+        argv = ["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9", "--alpha", "18deg"]
+        assert build_parser(set(argv)).parse_args(argv) == build_parser().parse_args(argv)
+        code, out = self.outcome(build_parser({"ci"}), argv, capsys)
+        assert code == 2 and "unrecognized arguments: --object" in out.err
+
+
+class TestReuse:
+    """Calling `main` again in one process gives the same results."""
+
+    SCRIPT_A = [
+        ["region", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--la", "0.7",
+         "--alpha-step", "10", "--beta-step", "10", "--out-dir", "{d}"],
+        ["simulate", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--alpha", "18deg",
+         "--la-schedule", "0.9:0.65", "--beta-step", "5", "--la-step", "0.1", "--out-dir", "{d}"],
+        ["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9", "--alpha", "18deg",
+         "--out", "{d}/bound.json"],
+        ["traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg", "--mu", "0,0,0.4",
+         "--clamp-beta-ub", "--waypoints", "8", "--out", "{d}/plan.json"],
+        ["wrench", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--la", "0.9", "--alpha", "18deg",
+         "--beta", "30deg", "--out", "{d}/wrench.csv"],
+        ["ci", "9/10", "3/10", "--csv", "{d}/ci.csv"],
+    ]
+    # The same subcommands with every object option set, on another catalog.
+    SCRIPT_B = [
+        ["region", "--object", "tube", "--objects", "{cat}", "--width", "6", "--delta", "4",
+         "--mu", "0,0,0.4", "--la", "0.6", "--alpha-step", "15", "--beta-step", "15",
+         "--mode", "form-closure", "--out-dir", "{d}"],
+        ["simulate", "--object", "tube", "--objects", "{cat}", "--delta", "4", "--mu", "0,0,0.4",
+         "--alpha", "30deg", "--la-schedule", "0.8", "--beta-step", "15", "--la-step", "0.5", "--out-dir", "{d}"],
+        ["beta-ub", "--object", "tube", "--objects", "{cat}", "--width", "6", "--mu", "0,0,0.4",
+         "--la", "0.7", "--alpha", "40deg", "--out", "{d}/bound.json"],
+        ["traj", "--object", "tube", "--objects", "{cat}", "--width", "6", "--la", "0.7",
+         "--alpha", "40deg", "--out", "{d}/plan.json"],
+        ["wrench", "--object", "tube", "--objects", "{cat}", "--delta", "4", "--mu", "0,0,0",
+         "--la", "0.5", "--alpha", "40deg", "--beta", "0"],
+        ["ci", "1/2", "--z", "2.5"],
+    ]
+
+    def run_script(self, script, out, **fmt):
+        for argv in script:
+            assert main([a.format(d=out, **fmt) for a in argv]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_a_rerun_after_other_calls_writes_the_same_bytes(self, tmp_path, capsys):
+        catalog = tmp_path / "objects.json"
+        catalog.write_text(json.dumps([{"name": "tube", "a_mm": 50, "D_mm": 30, "d_mm": 24,
+                                        "gripper": {"w_mm": 10, "stroke_mm": 80}}]))
+        first = self.run_script(self.SCRIPT_A, tmp_path / "a1")
+        mutated = load_catalog()
+        mutated.clear()
+        mutated["bushing"] = load_catalog(catalog)["tube"]
+        other = self.run_script(self.SCRIPT_B, tmp_path / "b", cat=catalog)
+        again = self.run_script(self.SCRIPT_A, tmp_path / "a2")
+        assert len(first) == 9 and again == first
+        assert other.keys() == {"region_tube_form_closure_la0.6.csv", "region_tube_form_closure_la0.6.json",
+                                "trajectory_tube.csv", "grasp_plane_tube.csv", "grasp_plane_tube.json",
+                                "bound.json", "plan.json"}
+        assert load_catalog()["bushing"][0].D == 34.0

@@ -16,6 +16,7 @@ from pivotgrasp.geometry import (
     load_catalog,
 )
 from pivotgrasp.stability import degree_grid, grasp_plane_sweep, is_stable, region_sweep
+from pivotgrasp.stats import TrialRecord
 from pivotgrasp.wrenches import FrictionSet
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
@@ -164,3 +165,31 @@ def test_grasp_plane_sweep_checks_beta_like_region_sweep():
         grasp_plane_sweep(BUSHING, SET_C, 0.3, (0.5, 0.9), (0.3, 0.0), delta=7.2)
     gmap = grasp_plane_sweep(BUSHING, SET_C, math.pi / 10, (0.5, 0.9), (0.0, 0.3, 1.2), delta=7.2)
     assert gmap.feasible_cells() == int(gmap.feasible.sum()) > 0
+
+
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_ci_rejects_non_finite_z(capsys, z):
+    code, err = run(["ci", "9/10", "--z", z], capsys)
+    assert code == 2 and f"z must be positive and finite, got {z}" in err
+    with pytest.raises(ValueError, match="finite"):
+        TrialRecord(9, 10, z=float(z))
+
+
+# Every subcommand that takes an l_a, with the value at {la} and its output at {d}.
+LA_CALLS = {
+    "region": ["region", "--mu", "0,0,0", "--la", "{la}", "--out-dir", "{d}"],
+    "beta-ub": ["beta-ub", "--mu", "0,0,0.4", "--la", "{la}", "--alpha", "18deg", "--out", "{d}/b.json"],
+    "simulate": ["simulate", "--mu", "0,0,0.4", "--alpha", "18deg", "--la-schedule", "{la}", "--out-dir", "{d}"],
+    "traj": ["traj", "--la", "{la}", "--alpha", "18deg", "--out", "{d}/plan.json"],
+    "wrench": ["wrench", "--mu", "0,0,0", "--la", "{la}", "--alpha", "18deg", "--beta", "0", "--out", "{d}/w.csv"],
+}
+
+
+@pytest.mark.parametrize("command", LA_CALLS)
+@pytest.mark.parametrize("la", ["1.7", "0", "-0.2", "nan"])
+def test_every_command_rejects_la_with_one_message(tmp_path, capsys, command, la):
+    argv = [a.format(la=la, d=tmp_path) for a in LA_CALLS[command]]
+    code, err = run([*argv, "--object", "bushing"], capsys)
+    assert code == 2
+    assert err == f"error: l_a {float(la)} outside (0, 1]\n"
+    assert list(tmp_path.iterdir()) == []

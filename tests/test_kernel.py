@@ -21,6 +21,7 @@ from pivotgrasp.maneuver import linear_la_schedule, simulate_grasp_trajectory
 from pivotgrasp.stability import (
     DEFAULT_LA_FAMILY,
     MODES,
+    BetaBound,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -230,6 +231,67 @@ def test_beta_upper_bound_matches_scalar_definition(l_a, alpha_deg):
     bound = beta_upper_bound(BUSHING, SETS["B"], l_a, math.radians(alpha_deg), delta=DELTA)
     status, transitions = _scalar_beta_bound(BUSHING, SETS["B"], l_a, math.radians(alpha_deg), DELTA)
     assert (bound.status, bound.transitions) == (status, transitions)
+
+
+def _loop_beta_bound(obj, friction, l_a, alpha, *, delta, resolution=1e-4, coarse_step_deg=1.0):
+    """The bound with its bisection as a scalar loop, one `is_stable` call per step."""
+    coarse = degree_grid(0.0, 90.0, coarse_step_deg)
+    coarse_ok = stable_cells(obj, friction, l_a, alpha, np.array(coarse), delta=delta)
+    if not coarse_ok[0]:
+        return BetaBound(value=None, finite=False, status="infeasible_at_start")
+    transitions = []
+    for k in np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:]):
+        lo, hi = coarse[k], coarse[k + 1]
+        while hi - lo > resolution / 4:
+            mid = 0.5 * (lo + hi)
+            if is_stable(obj, cfg_for(obj, delta, l_a, alpha, mid), friction):
+                lo = mid
+            else:
+                hi = mid
+        transitions.append(0.5 * (lo + hi))
+    if not transitions:
+        return BetaBound(value=None, finite=False, status="not_finite")
+    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=tuple(transitions))
+
+
+# Bushing bounds of every kind: band cells near the bound (the first three,
+# as in test_cells_at_the_tilt_bound_match_simplex), two transitions, not
+# finite, infeasible at the start.
+BOUND_CASES = [
+    (SETS["B"], 0.9, 1.0), (SETS["C"], 0.9, 18.0), (SETS["B"], 0.4, 60.0),
+    (SETS["B"], 0.3, 61.0), (SETS["B"], 0.4, 10.0),
+]
+
+
+def test_batched_bisection_matches_the_scalar_loop():
+    rng = random.Random(606)
+    catalog = list(load_catalog().values())
+    queries = [(BUSHING, DELTA, friction, l_a, math.radians(alpha_deg), {})
+               for friction, l_a, alpha_deg in BOUND_CASES]
+    for n in range(1200):
+        obj, gripper = rng.choice(catalog)
+        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+        friction = FrictionSet(*(rng.uniform(0.0, 0.6) for _ in range(3)))
+        # every fifth query off the default resolution and coarse step
+        grid = {} if n % 5 else {"resolution": rng.choice((1e-3, 3e-5)), "coarse_step_deg": rng.choice((0.5, 2.0, 3.0))}
+        queries.append((obj, delta, friction, rng.uniform(0.05, 1.0), math.radians(rng.uniform(0.5, 89.5)), grid))
+    kinds = {}
+    for obj, delta, friction, l_a, alpha, grid in queries:
+        bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta, **grid)
+        assert bound == _loop_beta_bound(obj, friction, l_a, alpha, delta=delta, **grid)
+        kind = f"{bound.status}{len(bound.transitions) or ''}"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    print(f"batched bisection: {len(queries)} bounds equal to the scalar loop's: {sorted(kinds.items())}")
+    assert kinds.keys() == {"finite1", "finite2", "not_finite", "infeasible_at_start"}
+
+
+def test_bisection_band_path_matches_the_scalar_loop(monkeypatch):
+    # A band wider than any score sends every midpoint to the simplex.
+    monkeypatch.setattr(lp, "CONE_BAND", math.inf)
+    for friction, l_a, alpha_deg in BOUND_CASES:
+        alpha = math.radians(alpha_deg)
+        bound = beta_upper_bound(BUSHING, friction, l_a, alpha, delta=DELTA)
+        assert bound == _loop_beta_bound(BUSHING, friction, l_a, alpha, delta=DELTA)
 
 
 def test_force_balance_does_not_depend_on_mass():
