@@ -9,7 +9,6 @@ or `rad` suffix; bare numbers are radians.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -21,6 +20,7 @@ from pathlib import Path
 from .geometry import (
     ConfigError,
     GeometryError,
+    GripperSpec,
     config_from_delta,
     hole_contact_depth,
     hole_contact_offset,
@@ -141,15 +141,13 @@ def _resolve_object(args):
             f"unknown object {args.object!r}; catalog has: {', '.join(sorted(catalog))}"
         )
     obj, gripper = catalog[args.object]
-    if getattr(args, "width", None) is not None:
-        gripper = dataclasses.replace(gripper, w=args.width)
-    if getattr(args, "delta", None) is not None:
-        delta = args.delta
-        if not 0 < delta < obj.D / 2:
-            raise CliValidationError(f"--delta must lie in (0, D/2) = (0, {obj.D / 2})")
-    else:
-        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
-    return obj, gripper, delta
+    if args.width is not None:
+        gripper = GripperSpec(w=args.width)
+    if args.delta is None:
+        return obj, hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+    if not 0 < args.delta < obj.D / 2:
+        raise CliValidationError(f"--delta must lie in (0, D/2) = (0, {obj.D / 2})")
+    return obj, args.delta
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -163,7 +161,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_region(args) -> int:
-    obj, _gripper, delta = _resolve_object(args)
+    obj, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     mode = args.mode.replace("-", "_")
     la_values = [check_la(la) for la in parse_la_list(args.la)]
@@ -188,7 +186,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_beta_ub(args) -> int:
-    obj, _gripper, delta = _resolve_object(args)
+    obj, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     la = check_la(args.la)
     alpha = parse_angle(args.alpha)
@@ -208,7 +206,7 @@ def cmd_beta_ub(args) -> int:
 
 
 def cmd_traj(args) -> int:
-    obj, _gripper, delta = _resolve_object(args)
+    obj, delta = _resolve_object(args)
     la = check_la(args.la)
     alpha = parse_angle(args.alpha)
     beta0 = parse_angle(args.beta0)
@@ -247,7 +245,7 @@ def cmd_traj(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    obj, _gripper, delta = _resolve_object(args)
+    obj, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     alpha = parse_angle(args.alpha)
     la_start, la_end = (check_la(v) for v in parse_schedule(args.la_schedule))
@@ -276,7 +274,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_wrench(args) -> int:
-    obj, _gripper, delta = _resolve_object(args)
+    obj, delta = _resolve_object(args)
     friction = parse_mu(args.mu)
     cfg = config_from_delta(obj, check_la(args.la), parse_angle(args.alpha), parse_angle(args.beta), delta)
     basis = contact_wrench_basis(obj, cfg, friction)
@@ -295,12 +293,18 @@ def cmd_wrench(args) -> int:
 def cmd_ci(args) -> int:
     records = []
     if args.infile:
-        for line in Path(args.infile).read_text().splitlines():
+        for line_no, line in enumerate(Path(args.infile).read_text().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, k, n = line.split(",")
-            records.append(TrialRecord(int(k), int(n), z=args.z, name=name.strip()))
+            try:
+                name, k, n = line.split(",")
+                k, n = int(k), int(n)
+            except ValueError:
+                raise CliValidationError(
+                    f"{args.infile}:{line_no}: expected name,successes,trials with integer counts, got {line!r}"
+                ) from None
+            records.append(TrialRecord(k, n, z=args.z, name=name.strip()))
     names = args.names.split(",") if args.names else []
     for i, pair in enumerate(args.pairs):
         try:

@@ -62,33 +62,35 @@ class ObjectSpec:
 
 @dataclass(frozen=True)
 class GripperSpec:
-    """Parallel-jaw gripper: finger width w and maximum jaw stroke."""
+    """Parallel-jaw gripper, used unmodified: only its finger width w enters the model.
+
+    The width fixes where the inserted finger touches the hole, and so the
+    contact depth delta (`hole_contact_offset`, `hole_contact_depth`).
+    """
 
     w: float
-    stroke: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.w) and math.isfinite(self.stroke)):
-            raise GeometryError("gripper width and stroke must be finite")
-        if self.w <= 0 or self.stroke <= 0:
-            raise GeometryError("gripper width and stroke must be positive")
+        if not math.isfinite(self.w):
+            raise GeometryError("gripper width must be finite")
+        if self.w <= 0:
+            raise GeometryError("gripper width must be positive")
 
 
 @dataclass(frozen=True)
 class GraspConfig:
-    """One grasp configuration: the three variable parameters plus derived contact geometry.
+    """One grasp configuration: the three variable parameters plus the contact depth.
 
     l_a is the nondimensional contact distance l/(2a) of S from the hole-side
     corner; alpha the gripper-object angle; beta the object-ground tilt;
-    delta the distance of the in-hole contact H below the outer corner;
-    hole_offset the distance of H from the hole centre.
+    delta the distance of the in-hole contact H below the outer corner (its
+    distance from the hole centre is D/2 - delta).
     """
 
     l_a: float
     alpha: float
     beta: float
     delta: float
-    hole_offset: float
 
 
 def hole_contact_offset(gripper: GripperSpec, obj: ObjectSpec) -> float:
@@ -99,8 +101,6 @@ def hole_contact_offset(gripper: GripperSpec, obj: ObjectSpec) -> float:
     otherwise the finger cannot enter the hole.
     """
     w, d = gripper.w, obj.d
-    if w <= 0:
-        raise GeometryError("gripper width must be positive")
     if w >= d:
         raise GeometryError(f"finger width {w} cannot enter hole of diameter {d}")
     return (d / 2) * math.sqrt(1.0 - (w / d) ** 2)
@@ -131,8 +131,6 @@ def config_errors(cfg: GraspConfig, obj: ObjectSpec) -> list[str]:
         errors.append("beta_out_of_range")
     if not 0 < cfg.delta < obj.D / 2:
         errors.append("delta_out_of_range")
-    elif abs(cfg.delta - (obj.D / 2 - cfg.hole_offset)) > 1e-9:
-        errors.append("delta_inconsistent")
     return errors
 
 
@@ -151,22 +149,16 @@ def grasp_config(
     alpha: float,
     beta: float,
 ) -> GraspConfig:
-    """Build and validate a configuration, deriving the contact geometry from the gripper."""
-    offset = hole_contact_offset(gripper, obj)
-    delta = hole_contact_depth(obj, offset)
-    return validate_config(
-        GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=offset), obj
-    )
+    """Build and validate a configuration, deriving the contact depth from the gripper."""
+    delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+    return config_from_delta(obj, l_a, alpha, beta, delta)
 
 
 def config_from_delta(
     obj: ObjectSpec, l_a: float, alpha: float, beta: float, delta: float
 ) -> GraspConfig:
     """Build and validate a configuration from a known contact depth delta."""
-    return validate_config(
-        GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=obj.D / 2 - delta),
-        obj,
-    )
+    return validate_config(GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta), obj)
 
 
 # ---------------------------------------------------------------------------
@@ -175,50 +167,61 @@ def config_from_delta(
 
 
 def object_from_dict(doc: dict) -> tuple[ObjectSpec, GripperSpec]:
-    """Parse one catalog document into an (object, gripper) pair.
+    """Parse one catalog entry into an (object, gripper) pair.
 
     Schema: {"name": str, "a_mm": num, "b_mm": num|null, "D_mm": num,
-    "d_mm": num, "cylinder": bool, "gripper": {"w_mm": num, "stroke_mm": num}}.
+    "d_mm": num, "cylinder": bool, "mass": num, "gripper": {"w_mm": num}}.
     Cylinders may omit b_mm (it is forced to D/2); prisms must supply it.
-    A missing required field raises GeometryError naming it.
+    "cylinder" defaults to true and "mass" to 1; other keys are ignored, so
+    a catalog listing more about its gripper than the width loads the same.
+    A missing field or a value of the wrong type raises GeometryError
+    naming the entry and the field.
     """
+    if not isinstance(doc, dict):
+        raise GeometryError(f"catalog entry {doc!r} is not a JSON object")
+    name = doc.get("name")
+    if not isinstance(name, str):
+        raise GeometryError(f"catalog entry {doc!r} has no string 'name'")
+
+    def number(entry: dict, key: str) -> float:
+        try:
+            return float(entry[key])
+        except (TypeError, ValueError):
+            raise GeometryError(f"{name}: catalog field {key!r} is not a number: {entry[key]!r}") from None
+
     try:
-        name = doc["name"]
         cylinder = bool(doc.get("cylinder", True))
         b = doc.get("b_mm")
-        if b is None:
-            if not cylinder:
-                raise GeometryError(f"{name}: prisms must supply b_mm")
-            b = doc["D_mm"] / 2
-        obj = ObjectSpec(
-            name=name,
-            a=float(doc["a_mm"]),
-            b=float(b),
-            D=float(doc["D_mm"]),
-            d=float(doc["d_mm"]),
-            cylinder=cylinder,
-            mass=float(doc.get("mass", 1.0)),
-        )
+        if b is None and not cylinder:
+            raise GeometryError(f"{name}: prisms must supply b_mm")
+        D = number(doc, "D_mm")
+        b = D / 2 if b is None else number(doc, "b_mm")
+        mass = number(doc, "mass") if "mass" in doc else 1.0
+        obj = ObjectSpec(name, a=number(doc, "a_mm"), b=b, D=D, d=number(doc, "d_mm"), cylinder=cylinder, mass=mass)
         g = doc["gripper"]
-        gripper = GripperSpec(w=float(g["w_mm"]), stroke=float(g["stroke_mm"]))
+        if not isinstance(g, dict):
+            raise GeometryError(f"{name}: catalog field 'gripper' is not an object: {g!r}")
+        gripper = GripperSpec(w=number(g, "w_mm"))
     except KeyError as e:
-        raise GeometryError(f"{doc.get('name', '<unnamed>')}: catalog entry lacks {e.args[0]!r}") from None
+        raise GeometryError(f"{name}: catalog entry lacks {e.args[0]!r}") from None
     return obj, gripper
 
 
 def load_catalog(path: str | Path | None = None) -> dict[str, tuple[ObjectSpec, GripperSpec]]:
     """Load the object catalog, keyed by object name.
 
-    With no path, the bundled catalog of reference objects is used.
+    With no path, the bundled catalog of reference objects is used. A
+    catalog that is not a JSON list of entries raises GeometryError.
     """
     if path is None:
         text = resources.files("pivotgrasp.data").joinpath("objects.json").read_text()
     else:
         text = Path(path).read_text()
     docs = json.loads(text)
+    if not isinstance(docs, list):
+        raise GeometryError(f"catalog {path} is not a JSON list of entries")
     catalog = {}
     for doc in docs:
         obj, gripper = object_from_dict(doc)
         catalog[obj.name] = (obj, gripper)
     return catalog
-

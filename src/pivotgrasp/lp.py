@@ -54,12 +54,11 @@ class LpOutcome:
 def _solve_nonneg(
     columns: list[tuple[float, float, float]],
     rhs: tuple[float, float, float],
-    residual_tol: float,
 ) -> tuple[bool, list[float] | None]:
     """min sum(k) s.t. sum(k_j * columns[j]) = rhs, k >= 0.
 
     Dense two-phase simplex on the 3-row tableau. Phase 1 minimises the sum
-    of artificial variables (the L1 equality residual); at most residual_tol
+    of artificial variables (the L1 equality residual); at most RESIDUAL_TOL
     of it may remain for the problem to count as feasible, which makes the
     feasible region boundary inclusive.
     """
@@ -125,7 +124,7 @@ def _solve_nonneg(
         raise LpDegeneracyError("simplex iteration cap exceeded")
 
     cost1 = [0.0] * n + [1.0] * m
-    if run(cost1, n + m) > residual_tol:
+    if run(cost1, n + m) > RESIDUAL_TOL:
         return False, None
 
     # Remove artificials: pivot each basic one onto a real column, or drop
@@ -154,7 +153,6 @@ def _solve_shifted(
     columns: list[tuple[float, float, float]],
     ext: tuple[float, float, float],
     shift: float,
-    residual_tol: float,
 ) -> LpOutcome:
     """min sum(k) s.t. ext + sum(k_j * columns[j]) = 0, k >= shift.
 
@@ -164,7 +162,7 @@ def _solve_shifted(
     rhs = tuple(-e for e in ext)
     if shift:
         rhs = tuple(rhs[i] - shift * sum(col[i] for col in columns) for i in range(3))
-    feasible, coeffs = _solve_nonneg(columns, rhs, residual_tol)
+    feasible, coeffs = _solve_nonneg(columns, rhs)
     if not feasible:
         return LpOutcome(False)
     if shift:
@@ -175,20 +173,18 @@ def _solve_shifted(
     return LpOutcome(True, coefficients=tuple(coeffs), objective=sum(coeffs), residual=residual)
 
 
-def solve_force_balance(
-    basis: WrenchBasis, ext: Wrench, residual_tol: float = RESIDUAL_TOL
-) -> LpOutcome:
+def solve_force_balance(basis: WrenchBasis, ext: Wrench) -> LpOutcome:
     """Can nonnegative combinations of the basis wrenches cancel ext?
 
     Feasible iff -ext lies in the cone of the six columns; the returned
     coefficients minimise their sum.
     """
-    return _solve_shifted(basis.columns(), ext.as_tuple(), 0.0, residual_tol)
+    return _solve_shifted(basis.columns(), ext.as_tuple(), 0.0)
 
 
-def solve_form_closure(basis: WrenchBasis, residual_tol: float = RESIDUAL_TOL) -> LpOutcome:
+def solve_form_closure(basis: WrenchBasis) -> LpOutcome:
     """Does a strictly positive combination of the basis wrenches sum to zero?"""
-    return _solve_shifted(basis.columns(), (0.0, 0.0, 0.0), 1.0, residual_tol)
+    return _solve_shifted(basis.columns(), (0.0, 0.0, 0.0), 1.0)
 
 
 # Batched cone membership for many cells at once (Caratheodory's theorem for
@@ -291,12 +287,7 @@ def cone_membership(gens: np.ndarray, targets: np.ndarray, length: float) -> tup
     return inside, ~(inside | (score < -CONE_BAND))
 
 
-def oracle_force_balance(
-    basis: WrenchBasis,
-    ext: Wrench,
-    residual_tol: float = RESIDUAL_TOL,
-    bound_tol: float = BOUND_TOL,
-) -> bool:
+def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
     """Brute-force cone membership check, independent of the simplex.
 
     Enumerates every column subset of size one to three and solves the
@@ -305,7 +296,7 @@ def oracle_force_balance(
     Caratheodory's theorem for cones this enumeration is exhaustive.
     """
     b = -np.array(ext.as_tuple())
-    if float(np.max(np.abs(b))) <= residual_tol:
+    if float(np.max(np.abs(b))) <= RESIDUAL_TOL:
         return True
     cols = np.array(basis.columns()).T  # 3 x 6
     for size in (3, 2, 1):
@@ -318,8 +309,8 @@ def oracle_force_balance(
                     continue
             else:
                 k = np.linalg.lstsq(A, b, rcond=None)[0]
-            if float(np.min(k)) < -bound_tol:
+            if float(np.min(k)) < -BOUND_TOL:
                 continue
-            if float(np.max(np.abs(A @ k - b))) <= residual_tol:
+            if float(np.max(np.abs(A @ k - b))) <= RESIDUAL_TOL:
                 return True
     return False

@@ -169,15 +169,13 @@ class GraspTrajectory:
     final_mark: tuple[float, float] | None
 
 
-def linear_la_schedule(
-    la_start: float, la_end: float, beta_end: float = HALF_PI
-) -> Callable[[float], float]:
-    """Linear l_a(beta) from la_start at beta = 0 to la_end at beta_end."""
+def linear_la_schedule(la_start: float, la_end: float) -> Callable[[float], float]:
+    """Linear l_a(beta) from la_start at beta = 0 to la_end at beta = pi/2."""
     if la_end > la_start:
         raise ValueError("sliding can only shorten l_a")
 
     def schedule(beta: float) -> float:
-        frac = min(max(beta / beta_end, 0.0), 1.0)
+        frac = min(max(beta / HALF_PI, 0.0), 1.0)
         return la_start + (la_end - la_start) * frac
 
     return schedule

@@ -84,8 +84,7 @@ def is_stable(
 
 def _stable_at(obj, friction, l_a, alpha, beta, mode, delta) -> bool:
     """`is_stable` at one cell given by its contact depth delta."""
-    cfg = GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=obj.D / 2 - delta)
-    return is_stable(obj, cfg, friction, mode)
+    return is_stable(obj, GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta), friction, mode)
 
 
 def stable_cells(
@@ -329,8 +328,11 @@ def beta_upper_bound(
     The bisection is batched: every kernel call decides the next five
     levels of midpoints of all brackets at once, with the simplex for
     cells near the cone boundary, so the bound is the one a scalar loop of
-    `is_stable` calls finds.
+    `is_stable` calls finds. A `resolution` that is not positive and finite
+    raises ValueError before any cell is decided.
     """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     betas = np.array(degree_grid(0.0, 90.0, coarse_step_deg))
     coarse_ok = stable_cells(obj, friction, l_a, alpha, betas, delta=delta)
     if not coarse_ok[0]:

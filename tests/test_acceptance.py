@@ -59,8 +59,7 @@ def _report(num: int, slug: str, ok: bool, detail: str = "") -> None:
 
 
 def cfg_for(l_a, alpha, beta):
-    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=DELTA,
-                       hole_offset=BUSHING.D / 2 - DELTA)
+    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=DELTA)
 
 
 def basis_for(l_a, alpha, beta, friction):

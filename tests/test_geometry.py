@@ -27,34 +27,34 @@ BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
 class TestHoleContactOffset:
     def test_vanishing_width_limit_is_hole_radius(self):
         # As w -> 0 the contact point approaches the hole equator at d/2.
-        x = hole_contact_offset(GripperSpec(w=1e-6, stroke=82.0), BUSHING)
+        x = hole_contact_offset(GripperSpec(w=1e-6), BUSHING)
         assert x == pytest.approx(14.0, rel=1e-9)
 
     def test_reference_width(self):
-        x = hole_contact_offset(GripperSpec(w=20.0, stroke=82.0), BUSHING)
+        x = hole_contact_offset(GripperSpec(w=20.0), BUSHING)
         assert x == pytest.approx(9.797958971132713, rel=1e-12)
 
     def test_near_singular_width(self):
-        x = hole_contact_offset(GripperSpec(w=27.99, stroke=82.0), BUSHING)
+        x = hole_contact_offset(GripperSpec(w=27.99), BUSHING)
         assert x == pytest.approx(0.37413232953065345, rel=1e-9)
         # identity: (d/2)*sqrt(1-(w/d)^2) == sqrt((d/2)^2 - (w/2)^2)
         assert x == pytest.approx(math.sqrt(14.0**2 - (27.99 / 2) ** 2), rel=1e-12)
 
     def test_width_at_least_hole_diameter_rejected(self):
         with pytest.raises(GeometryError):
-            hole_contact_offset(GripperSpec(w=28.0, stroke=82.0), BUSHING)
+            hole_contact_offset(GripperSpec(w=28.0), BUSHING)
         with pytest.raises(GeometryError):
-            hole_contact_offset(GripperSpec(w=30.0, stroke=82.0), BUSHING)
+            hole_contact_offset(GripperSpec(w=30.0), BUSHING)
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(GeometryError):
-            GripperSpec(w=0.0, stroke=82.0)
+            GripperSpec(w=0.0)
         with pytest.raises(GeometryError):
-            GripperSpec(w=-1.0, stroke=82.0)
+            GripperSpec(w=-1.0)
 
     def test_strictly_decreasing_in_width(self):
         widths = [0.5 + 27.0 * i / 40 for i in range(41)]
-        xs = [hole_contact_offset(GripperSpec(w=w, stroke=82.0), BUSHING) for w in widths]
+        xs = [hole_contact_offset(GripperSpec(w=w), BUSHING) for w in widths]
         assert all(x2 < x1 for x1, x2 in zip(xs, xs[1:]))
 
     def test_two_written_forms_agree(self):
@@ -69,7 +69,7 @@ class TestHoleContactOffset:
 
 class TestHoleContactDepth:
     def test_bushing_depth(self):
-        x = hole_contact_offset(GripperSpec(w=20.0, stroke=82.0), BUSHING)
+        x = hole_contact_offset(GripperSpec(w=20.0), BUSHING)
         delta = hole_contact_depth(BUSHING, x)
         assert delta == pytest.approx(7.2, abs=0.05)
 
@@ -98,7 +98,7 @@ class TestHoleContactDepth:
             D = d + rng.uniform(0.5, 30.0)
             obj = ObjectSpec("o", a=50.0, b=D / 2, D=D, d=d)
             w = rng.uniform(1e-3, d * (1 - 1e-6))
-            x = hole_contact_offset(GripperSpec(w=w, stroke=82.0), obj)
+            x = hole_contact_offset(GripperSpec(w=w), obj)
             assert x + hole_contact_depth(obj, x) == pytest.approx(D / 2, rel=1e-12)
 
 
@@ -108,21 +108,21 @@ class TestValidateConfig:
         assert validate_config(cfg, BUSHING) is cfg
 
     def test_alpha_zero_is_degenerate_pinch(self):
-        cfg = GraspConfig(l_a=0.5, alpha=0.0, beta=0.0, delta=7.2, hole_offset=9.8)
+        cfg = GraspConfig(l_a=0.5, alpha=0.0, beta=0.0, delta=7.2)
         assert config_errors(cfg, BUSHING) == ["alpha_degenerate_pinch"]
 
     def test_alpha_right_angle_is_direct_hole_grasp(self):
-        cfg = GraspConfig(l_a=0.5, alpha=math.pi / 2, beta=0.0, delta=7.2, hole_offset=9.8)
+        cfg = GraspConfig(l_a=0.5, alpha=math.pi / 2, beta=0.0, delta=7.2)
         assert config_errors(cfg, BUSHING) == ["alpha_direct_hole_grasp"]
 
     def test_la_out_of_range(self):
-        cfg = GraspConfig(l_a=1.2, alpha=math.pi / 4, beta=0.0, delta=7.2, hole_offset=9.8)
+        cfg = GraspConfig(l_a=1.2, alpha=math.pi / 4, beta=0.0, delta=7.2)
         assert config_errors(cfg, BUSHING) == ["l_a_out_of_range"]
-        cfg = GraspConfig(l_a=0.0, alpha=math.pi / 4, beta=0.0, delta=7.2, hole_offset=9.8)
+        cfg = GraspConfig(l_a=0.0, alpha=math.pi / 4, beta=0.0, delta=7.2)
         assert "l_a_out_of_range" in config_errors(cfg, BUSHING)
 
     def test_each_violation_reported(self):
-        cfg = GraspConfig(l_a=2.0, alpha=0.0, beta=3.0, delta=40.0, hole_offset=9.8)
+        cfg = GraspConfig(l_a=2.0, alpha=0.0, beta=3.0, delta=40.0)
         errors = config_errors(cfg, BUSHING)
         assert set(errors) == {
             "l_a_out_of_range",
@@ -131,20 +131,17 @@ class TestValidateConfig:
             "delta_out_of_range",
         }
 
-    def test_inconsistent_delta_offset_pair(self):
-        cfg = GraspConfig(l_a=0.5, alpha=0.3, beta=0.0, delta=7.2, hole_offset=5.0)
-        assert config_errors(cfg, BUSHING) == ["delta_inconsistent"]
-
     def test_validate_raises_with_codes(self):
-        cfg = GraspConfig(l_a=1.2, alpha=0.0, beta=0.0, delta=7.2, hole_offset=9.8)
+        cfg = GraspConfig(l_a=1.2, alpha=0.0, beta=0.0, delta=7.2)
         with pytest.raises(ConfigError) as err:
             validate_config(cfg, BUSHING)
         assert "l_a_out_of_range" in err.value.errors
 
     def test_grasp_config_builder(self):
-        cfg = grasp_config(BUSHING, GripperSpec(w=20.0, stroke=82.0), 0.9, math.pi / 10, 0.0)
+        cfg = grasp_config(BUSHING, GripperSpec(w=20.0), 0.9, math.pi / 10, 0.0)
         assert cfg.delta == pytest.approx(7.202041028867287, rel=1e-12)
-        assert cfg.delta + cfg.hole_offset == pytest.approx(BUSHING.D / 2, rel=1e-12)
+        offset = hole_contact_offset(GripperSpec(w=20.0), BUSHING)
+        assert cfg.delta + offset == pytest.approx(BUSHING.D / 2, rel=1e-12)
 
 
 class TestObjectSpec:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 import pivotgrasp.cli as cli
+import pivotgrasp.stability as stability
 from pivotgrasp.geometry import (
     ConfigError,
     GeometryError,
@@ -15,7 +16,7 @@ from pivotgrasp.geometry import (
     config_errors,
     load_catalog,
 )
-from pivotgrasp.stability import degree_grid, grasp_plane_sweep, is_stable, region_sweep
+from pivotgrasp.stability import beta_upper_bound, degree_grid, grasp_plane_sweep, is_stable, region_sweep
 from pivotgrasp.stats import TrialRecord
 from pivotgrasp.wrenches import FrictionSet
 
@@ -113,10 +114,10 @@ def test_object_spec_rejects_non_finite(field, bad):
         ObjectSpec("o", cylinder=False, **dims)
 
 
-@pytest.mark.parametrize("w, stroke", [(math.nan, 80.0), (20.0, math.inf)])
-def test_gripper_spec_rejects_non_finite(w, stroke):
+@pytest.mark.parametrize("w", [math.nan, math.inf])
+def test_gripper_spec_rejects_non_finite(w):
     with pytest.raises(GeometryError, match="finite"):
-        GripperSpec(w=w, stroke=stroke)
+        GripperSpec(w=w)
 
 
 def test_region_rejects_nan_width(tmp_path, capsys):
@@ -128,7 +129,7 @@ def test_region_rejects_nan_width(tmp_path, capsys):
 
 
 def test_nan_alpha_is_a_config_error():
-    cfg = GraspConfig(l_a=0.9, alpha=math.nan, beta=0.0, delta=7.2, hole_offset=9.8)
+    cfg = GraspConfig(l_a=0.9, alpha=math.nan, beta=0.0, delta=7.2)
     assert config_errors(cfg, BUSHING) != []
     with pytest.raises(ConfigError):
         is_stable(BUSHING, cfg, SET_C)
@@ -193,3 +194,49 @@ def test_every_command_rejects_la_with_one_message(tmp_path, capsys, command, la
     assert code == 2
     assert err == f"error: l_a {float(la)} outside (0, 1]\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+def test_beta_upper_bound_rejects_bad_resolution_before_any_cell(monkeypatch, resolution):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a cell was decided")
+
+    monkeypatch.setattr(stability, "stable_cells", no_cells)
+    monkeypatch.setattr(stability, "_kernel_cells", no_cells)
+    with pytest.raises(ValueError, match="resolution"):
+        beta_upper_bound(BUSHING, FrictionSet(0.0, 0.0, 0.4), 0.9, math.radians(18.0),
+                         delta=7.2, resolution=resolution)
+
+
+# Catalogs that parse as JSON but not as a catalog, with words the error must name.
+BAD_CATALOGS = {
+    "top-level object": ({"a": 1}, ["catalog", "list"]),
+    "null length": ([{"name": "ring", "a_mm": None, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}],
+                    ["ring", "a_mm"]),
+    "gripper not an object": ([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": 5}],
+                              ["ring", "gripper"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CATALOGS)
+def test_malformed_catalog_exits_2_naming_the_entry(tmp_path, capsys, case):
+    doc, words = BAD_CATALOGS[case]
+    catalog = tmp_path / "objects.json"
+    catalog.write_text(json.dumps(doc))
+    code, err = run([
+        "beta-ub", "--objects", str(catalog), "--object", "ring", "--mu", "0,0,0.4",
+        "--la", "0.9", "--alpha", "18deg",
+    ], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert all(word in err for word in words)
+    with pytest.raises(GeometryError):
+        load_catalog(catalog)
+
+
+@pytest.mark.parametrize("row", ["a,b", "a,9,10,1", "a,nine,10"])
+def test_ci_infile_reports_a_bad_row_with_its_line(tmp_path, capsys, row):
+    infile = tmp_path / "trials.csv"
+    infile.write_text(f"# name,successes,trials\ngood,9,10\n{row}\n")
+    code, err = run(["ci", "--infile", str(infile)], capsys)
+    assert code == 2
+    assert f"{infile}:3:" in err and repr(row) in err

@@ -50,7 +50,7 @@ SETS = {
 
 
 def cfg_for(obj, delta, l_a, alpha, beta):
-    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta, hole_offset=obj.D / 2 - delta)
+    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta)
 
 
 def targets_for(gens, mode):

@@ -26,8 +26,7 @@ GRAVITY = gravity_wrench(BUSHING)
 
 
 def cfg_for(l_a, alpha, beta, delta=7.2):
-    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta,
-                       hole_offset=BUSHING.D / 2 - delta)
+    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta)
 
 
 def basis_for(l_a, alpha, beta, friction):

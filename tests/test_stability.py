@@ -29,8 +29,7 @@ SET_C = FrictionSet(0.2, 0.4, 0.4)
 
 
 def cfg_for(l_a, alpha, beta):
-    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=DELTA,
-                       hole_offset=BUSHING.D / 2 - DELTA)
+    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=DELTA)
 
 
 class TestIsStable:

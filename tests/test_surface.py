@@ -1,6 +1,9 @@
-"""Public surface: the exported names and the exact bytes of the CLI's files."""
+"""Public surface: the exported names, the values the model accepts and the exact bytes of the CLI's files."""
 
+import dataclasses
 import hashlib
+import inspect
+import json
 
 import pivotgrasp
 from pivotgrasp.cli import main
@@ -49,3 +52,33 @@ def test_exports_resolve_without_duplicates():
     names = pivotgrasp.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(pivotgrasp, n)] == []
+
+
+# Every value a caller can set on the model's inputs. The model reads each of
+# them; a field or keyword added here needs a reader.
+FIELDS = {
+    pivotgrasp.GraspConfig: ["l_a", "alpha", "beta", "delta"],
+    pivotgrasp.GripperSpec: ["w"],
+}
+PARAMETERS = {
+    pivotgrasp.solve_force_balance: ["basis", "ext"],
+    pivotgrasp.solve_form_closure: ["basis"],
+    pivotgrasp.oracle_force_balance: ["basis", "ext"],
+    pivotgrasp.linear_la_schedule: ["la_start", "la_end"],
+}
+
+
+def test_inputs_hold_only_what_the_model_reads():
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in FIELDS} == FIELDS
+    assert {f: list(inspect.signature(f).parameters) for f in PARAMETERS} == PARAMETERS
+
+
+def test_catalog_ignores_a_gripper_stroke(tmp_path):
+    docs = [{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(docs))
+    docs[0]["gripper"]["stroke_mm"] = 80
+    with_stroke = tmp_path / "stroke.json"
+    with_stroke.write_text(json.dumps(docs))
+    assert pivotgrasp.load_catalog(with_stroke) == pivotgrasp.load_catalog(plain)
+    assert pivotgrasp.load_catalog(plain)["ring"][1] == pivotgrasp.GripperSpec(w=10.0)

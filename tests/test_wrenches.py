@@ -17,8 +17,7 @@ BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
 
 
 def cfg_for(l_a, alpha, beta, delta=7.2):
-    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta,
-                       hole_offset=BUSHING.D / 2 - delta)
+    return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta)
 
 
 def random_friction(rng):
