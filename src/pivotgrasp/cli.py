@@ -18,8 +18,6 @@ from collections.abc import Collection
 from pathlib import Path
 
 from .geometry import (
-    ConfigError,
-    GeometryError,
     GripperSpec,
     config_from_delta,
     hole_contact_depth,
@@ -155,6 +153,13 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _write_all(outputs: list[tuple[Path, str]]) -> None:
+    """Write every (path, text) pair in order, printing each path once written."""
+    for path, text in outputs:
+        _write_text(path, text)
+        print(path)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -179,9 +184,7 @@ def cmd_region(args) -> int:
         stem = f"region_{obj.name}_{mode}_la{la:g}"
         outputs.append((out_dir / f"{stem}.csv", region_map_csv(rmap)))
         outputs.append((out_dir / f"{stem}.json", json.dumps(region_map_meta(rmap, obj), indent=2) + "\n"))
-    for path, text in outputs:
-        _write_text(path, text)
-        print(path)
+    _write_all(outputs)
     return EXIT_OK
 
 
@@ -238,9 +241,7 @@ def cmd_traj(args) -> int:
         outputs.append(
             (Path(args.align_out), json.dumps({"waypoints": poses_to_dicts(poses)}, indent=2) + "\n")
         )
-    for path, text in outputs:
-        _write_text(path, text)
-        print(path)
+    _write_all(outputs)
     return EXIT_OK
 
 
@@ -262,14 +263,11 @@ def cmd_simulate(args) -> int:
     )
 
     out_dir = Path(args.out_dir)
-    outputs = [
+    _write_all([
         (out_dir / f"trajectory_{obj.name}.csv", trajectory_csv(traj)),
         (out_dir / f"grasp_plane_{obj.name}.csv", grasp_plane_csv(gmap)),
         (out_dir / f"grasp_plane_{obj.name}.json", json.dumps(grasp_plane_meta(gmap, obj), indent=2) + "\n"),
-    ]
-    for path, text in outputs:
-        _write_text(path, text)
-        print(path)
+    ])
     return EXIT_OK
 
 
@@ -304,7 +302,10 @@ def cmd_ci(args) -> int:
                 raise CliValidationError(
                     f"{args.infile}:{line_no}: expected name,successes,trials with integer counts, got {line!r}"
                 ) from None
-            records.append(TrialRecord(k, n, z=args.z, name=name.strip()))
+            try:
+                records.append(TrialRecord(k, n, z=args.z, name=name.strip()))
+            except ValueError as e:
+                raise CliValidationError(f"{args.infile}:{line_no}: {e}") from None
     names = args.names.split(",") if args.names else []
     for i, pair in enumerate(args.pairs):
         try:
@@ -455,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.func(args)
-    except (CliValidationError, ConfigError, GeometryError, ValueError) as e:
+    except ValueError as e:  # CliValidationError, ConfigError and GeometryError too
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as e:

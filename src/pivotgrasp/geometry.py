@@ -211,17 +211,23 @@ def load_catalog(path: str | Path | None = None) -> dict[str, tuple[ObjectSpec, 
     """Load the object catalog, keyed by object name.
 
     With no path, the bundled catalog of reference objects is used. A
-    catalog that is not a JSON list of entries raises GeometryError.
+    catalog that is not JSON, not a list of entries or that names one
+    object twice raises GeometryError.
     """
     if path is None:
         text = resources.files("pivotgrasp.data").joinpath("objects.json").read_text()
     else:
         text = Path(path).read_text()
-    docs = json.loads(text)
+    try:
+        docs = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GeometryError(f"catalog {path} is not JSON: {e}") from None
     if not isinstance(docs, list):
         raise GeometryError(f"catalog {path} is not a JSON list of entries")
     catalog = {}
     for doc in docs:
         obj, gripper = object_from_dict(doc)
+        if obj.name in catalog:
+            raise GeometryError(f"catalog {path} lists {obj.name!r} twice")
         catalog[obj.name] = (obj, gripper)
     return catalog

@@ -59,6 +59,18 @@ def _contact_points(
     return (center[0] + sx, center[1] + sy), (center[0] + hx, center[1] + hy)
 
 
+def _arc(
+    pivot: tuple[float, float], start: tuple[float, float], phi0: float, sweep: float, n: int
+) -> tuple[GripperPose, ...]:
+    """`n` gripper poses turning rigidly by `sweep` about `pivot`, from `start` at angle `phi0`."""
+    poses = []
+    for k in range(n):
+        t = sweep * k / (n - 1)
+        dx, dy = _rot(t, start[0] - pivot[0], start[1] - pivot[1])
+        poses.append(GripperPose(pivot[0] + dx, pivot[1] + dy, phi0 + t))
+    return tuple(poses)
+
+
 def plan_pivot(
     obj: ObjectSpec,
     cfg: GraspConfig,
@@ -100,48 +112,26 @@ def plan_pivot(
         raise ValueError("initial gripper pose is below the ground plane")
 
     r = math.hypot(p_i.x - p_c[0], p_i.y - p_c[1])
-    waypoints = []
-    for k in range(n_waypoints):
-        t = theta * k / (n_waypoints - 1)
-        dx, dy = _rot(t, p_i.x - p_c[0], p_i.y - p_c[1])
-        waypoints.append(GripperPose(p_c[0] + dx, p_c[1] + dy, p_i.phi + t))
-    return PivotPlan(p_i=p_i, p_c=p_c, r=r, theta=theta, waypoints=tuple(waypoints))
+    waypoints = _arc(p_c, (p_i.x, p_i.y), p_i.phi, theta, n_waypoints)
+    return PivotPlan(p_i=p_i, p_c=p_c, r=r, theta=theta, waypoints=waypoints)
 
 
-def align_phase(
-    obj: ObjectSpec,
-    cfg: GraspConfig,
-    n_waypoints: int,
-    *,
-    hole_contact: tuple[float, float] | None = None,
-) -> tuple[GripperPose, ...]:
+def align_phase(obj: ObjectSpec, cfg: GraspConfig, n_waypoints: int) -> tuple[GripperPose, ...]:
     """Plan the align phase: rotate the gripper onto the (vertical) object axis.
 
-    The gripper turns about the inserted fingertip contact, interpolating
-    its angle relative to the object axis uniformly from alpha down to zero.
-    By default the object stands with its ground corner at the origin;
-    `hole_contact` overrides the fingertip's world position.
+    The object stands with its ground corner at the origin. The gripper
+    turns about the inserted fingertip contact, interpolating its angle
+    relative to the object axis uniformly from alpha down to zero.
     """
     validate_config(cfg, obj)
     if n_waypoints < 2:
         raise ValueError("need at least two waypoints")
-    if hole_contact is None:
-        center = (-obj.b, obj.a)  # ground corner at the origin, axis up
-        _, h = _contact_points(obj, cfg, center, HALF_PI)
-    else:
-        h = hole_contact
+    center = (-obj.b, obj.a)  # ground corner at the origin, axis up
+    _, h = _contact_points(obj, cfg, center, HALF_PI)
     # Jaw midpoint offset from the fingertip is rigid: half the H-to-S chord.
     l = 2.0 * obj.a * cfg.l_a
     ox, oy = _rot(HALF_PI, -l / 2, cfg.delta / 2)
-    p0 = (h[0] + ox, h[1] + oy)
-    phi0 = HALF_PI + cfg.alpha
-
-    poses = []
-    for k in range(n_waypoints):
-        step = -cfg.alpha * k / (n_waypoints - 1)
-        dx, dy = _rot(step, p0[0] - h[0], p0[1] - h[1])
-        poses.append(GripperPose(h[0] + dx, h[1] + dy, phi0 + step))
-    return tuple(poses)
+    return _arc(h, (h[0] + ox, h[1] + oy), HALF_PI + cfg.alpha, -cfg.alpha, n_waypoints)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +151,11 @@ class GraspTrajectory:
     """Stability along a tilt with a prescribed sliding schedule.
 
     Samples advance in beta while l_a may only shrink (sliding shortens the
-    contact distance); marks are the schedule endpoints.
+    contact distance); the schedule's endpoints are the first and last
+    samples.
     """
 
     samples: tuple[TrajectorySample, ...]
-    initial_mark: tuple[float, float] | None
-    final_mark: tuple[float, float] | None
 
 
 def linear_la_schedule(la_start: float, la_end: float) -> Callable[[float], float]:
@@ -198,18 +187,14 @@ def simulate_grasp_trajectory(
     if any(b2 < b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
         raise ValueError("beta grid must be non-decreasing")
     if not beta_grid:
-        return GraspTrajectory(samples=(), initial_mark=None, final_mark=None)
+        return GraspTrajectory(samples=())
 
     las = [la_schedule(beta) for beta in beta_grid]
     if any(l2 > l1 + 1e-12 for l1, l2 in zip(las, las[1:])):
         raise ValueError("l_a schedule must be non-increasing in beta")
 
     stable = stable_cells(obj, friction, np.array(las), alpha, np.array(beta_grid), delta=delta)
-    return GraspTrajectory(
-        samples=tuple(map(TrajectorySample, beta_grid, las, stable.tolist())),
-        initial_mark=(beta_grid[0], las[0]),
-        final_mark=(beta_grid[-1], las[-1]),
-    )
+    return GraspTrajectory(samples=tuple(map(TrajectorySample, beta_grid, las, stable.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HALF_PI, ConfigError, GraspConfig, ObjectSpec, validate_config
+from .geometry import HALF_PI, GraspConfig, ObjectSpec, validate_config
 from .lp import cone_membership, solve_force_balance, solve_form_closure
 from .wrenches import FrictionSet, Wrench, contact_wrench_basis, wrench_basis_grid
 
 MODES = ("force_balance", "form_closure")
-
-
-class SweepCellError(RuntimeError):
-    """A cell evaluation failed; carries the offending (alpha, beta)."""
-
-    def __init__(self, alpha: float, beta: float, cause: Exception):
-        super().__init__(f"cell (alpha={alpha!r}, beta={beta!r}) failed: {cause}")
-        self.alpha = alpha
-        self.beta = beta
 
 
 def degree_grid(start_deg: float, stop_deg: float, step_deg: float) -> tuple[float, ...]:
@@ -183,14 +174,12 @@ def _grid_sweep(obj, friction, mode, delta, l_a, alpha, fixed, row_axis, beta_ax
     """`stable_cells` over a checked row axis against a beta axis.
 
     One of `l_a` and `alpha` is the row axis as a column, the other the
-    fixed value. A ConfigError can then only come from the parameters all
-    cells share, so it is reported as a SweepCellError at the first cell.
+    fixed value. The axes are checked, so a ConfigError can only come from
+    a parameter all cells share (the fixed value or `delta`), and it names
+    that parameter.
     """
     _check_axis("beta", beta_axis, lambda v: 0.0 <= v <= HALF_PI)
-    try:
-        feasible = stable_cells(obj, friction, l_a, alpha, np.array(beta_axis)[None, :], mode, delta=delta)
-    except ConfigError as e:
-        raise SweepCellError(float(np.ravel(alpha)[0]), beta_axis[0], e) from e
+    feasible = stable_cells(obj, friction, l_a, alpha, np.array(beta_axis)[None, :], mode, delta=delta)
     return GridMap(mode, fixed, delta, friction, tuple(row_axis), tuple(beta_axis), feasible)
 
 
@@ -209,8 +198,8 @@ def region_sweep(
 
     The grid is evaluated in one batch in this process. `workers` is
     accepted for compatibility and starts no processes; the result never
-    depends on it. A ConfigError from the grid's shared parameters is raised
-    as a SweepCellError at the grid's first cell.
+    depends on it. An `l_a` or `delta` out of range raises the ConfigError
+    that names it, as `is_stable` does.
     """
     _check_axis("alpha", alpha_grid, lambda v: 0.0 < v < HALF_PI)
     return _grid_sweep(
@@ -231,8 +220,8 @@ def grasp_plane_sweep(
 ) -> GridMap:
     """Evaluate stability over (l_a, beta) at fixed alpha.
 
-    Batched like `region_sweep`; `workers` starts no processes. A
-    ConfigError is raised as a SweepCellError at (alpha, first beta).
+    Batched like `region_sweep`; `workers` starts no processes. An `alpha`
+    or `delta` out of range raises the ConfigError that names it.
     """
     _check_axis("l_a", la_grid, lambda v: 0.0 < v <= 1.0)
     return _grid_sweep(

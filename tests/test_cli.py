@@ -36,6 +36,18 @@ class TestParsing:
         with pytest.raises(CliValidationError):
             parse_schedule("a:b")
 
+    def test_non_numeric_mu_exits_2(self, capsys):
+        code = main(["beta-ub", "--object", "bushing", "--mu", "a,0,0.4", "--la", "0.9", "--alpha", "18deg"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot parse friction set 'a,0,0.4'\n"
+
+    def test_non_numeric_la_list_exits_2(self, tmp_path, capsys):
+        code = main(["region", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9,x",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot parse l_a list '0.9,x'\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRegion:
     def test_unknown_object_exits_2_without_files(self, tmp_path, capsys):
@@ -123,6 +135,26 @@ class TestBetaUb:
         assert code == 4
         assert json.loads(capsys.readouterr().out) == {"error": "infeasible_at_start"}
 
+    def test_delta_outside_half_diameter_exits_2(self, capsys):
+        code = main([
+            "beta-ub", "--object", "bushing", "--mu", "0,0,0.4",
+            "--la", "0.9", "--alpha", "18deg", "--delta", "17",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --delta must lie in (0, D/2) = (0, 17.0)\n"
+
+    def test_every_transition_is_written(self, tmp_path, capsys):
+        out = tmp_path / "bound.json"
+        code = main([
+            "beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.4",
+            "--alpha", "60deg", "--delta", "7.2", "--out", str(out),
+        ])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["transitions_rad"]) == 2
+        assert doc["transitions_rad"][0] == doc["beta_ub_rad"]
+        assert json.loads(capsys.readouterr().out) == doc
+
 
 class TestWrench:
     def test_frictionless_pairs_coincide(self, capsys):
@@ -194,6 +226,34 @@ class TestTraj:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["p_c"] == [100.0, 0.0]
+
+    def test_clamp_without_mu_exits_2(self, tmp_path, capsys):
+        code = main([
+            "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg",
+            "--clamp-beta-ub", "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --clamp-beta-ub requires --mu\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clamp_infeasible_at_start_exits_4_without_files(self, tmp_path, capsys):
+        code = main([
+            "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg", "--mu", "0,0,0",
+            "--clamp-beta-ub", "--out", str(tmp_path / "p.json"), "--align-out", str(tmp_path / "a.json"),
+        ])
+        assert code == 4
+        assert json.loads(capsys.readouterr().out) == {"error": "infeasible_at_start"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([
+            "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg",
+            "--out", str(blocker / "p.json"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
 
 class TestSimulate:

@@ -16,7 +16,15 @@ from pivotgrasp.geometry import (
     config_errors,
     load_catalog,
 )
-from pivotgrasp.stability import beta_upper_bound, degree_grid, grasp_plane_sweep, is_stable, region_sweep
+from pivotgrasp.maneuver import constant_la_schedule, simulate_grasp_trajectory
+from pivotgrasp.stability import (
+    beta_upper_bound,
+    degree_grid,
+    grasp_plane_sweep,
+    is_stable,
+    min_alpha,
+    region_sweep,
+)
 from pivotgrasp.stats import TrialRecord
 from pivotgrasp.wrenches import FrictionSet
 
@@ -155,6 +163,34 @@ def test_sweeps_reject_an_empty_axis(sweep, axes, name):
         sweep(BUSHING, SET_C, 0.4, *axes, delta=7.2)
 
 
+# Every entry point that decides a grid of cells, called with one parameter
+# all its cells share out of range, and the codes its ConfigError must carry.
+SHARED_PARAMETER_CALLS = {
+    "region_sweep l_a": (lambda: region_sweep(BUSHING, SET_C, 1.5, (0.3,), (0.0,), delta=7.2),
+                         ["l_a_out_of_range"]),
+    "grasp_plane_sweep alpha": (lambda: grasp_plane_sweep(BUSHING, SET_C, 0.0, (0.5,), (0.0,), delta=7.2),
+                                ["alpha_degenerate_pinch"]),
+    "region_sweep delta": (lambda: region_sweep(BUSHING, SET_C, 0.5, (0.3,), (0.0,), delta=17.0),
+                           ["delta_out_of_range"]),
+    "beta_upper_bound": (lambda: beta_upper_bound(BUSHING, SET_C, 1.5, 0.3, delta=7.2),
+                         ["l_a_out_of_range"]),
+    "min_alpha": (lambda: min_alpha(BUSHING, SET_C, 1.5, 0.0, delta=7.2), ["l_a_out_of_range"]),
+    "simulate_grasp_trajectory": (
+        lambda: simulate_grasp_trajectory(BUSHING, SET_C, math.pi / 2, constant_la_schedule(0.5),
+                                          (0.0, 0.3), delta=7.2),
+        ["alpha_direct_hole_grasp"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_PARAMETER_CALLS)
+def test_grid_entry_points_raise_the_config_error(case):
+    call, errors = SHARED_PARAMETER_CALLS[case]
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert err.value.errors == errors
+
+
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
 def test_degree_grid_rejects_bad_steps(step):
     with pytest.raises(ValueError, match="step"):
@@ -215,6 +251,9 @@ BAD_CATALOGS = {
                     ["ring", "a_mm"]),
     "gripper not an object": ([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": 5}],
                               ["ring", "gripper"]),
+    "duplicate name": ([{"name": "ring", "a_mm": a, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}
+                        for a in (30, 60)],
+                       ["objects.json", "lists 'ring' twice"]),
 }
 
 
@@ -240,3 +279,24 @@ def test_ci_infile_reports_a_bad_row_with_its_line(tmp_path, capsys, row):
     code, err = run(["ci", "--infile", str(infile)], capsys)
     assert code == 2
     assert f"{infile}:3:" in err and repr(row) in err
+
+
+def test_ci_infile_reports_counts_out_of_range_with_its_line(tmp_path, capsys):
+    infile = tmp_path / "trials.csv"
+    infile.write_text("good,9,10\na,11,10\n")
+    code, err = run(["ci", "--infile", str(infile)], capsys)
+    assert code == 2
+    assert err == f"error: {infile}:2: successes must lie in [0, trials]\n"
+
+
+def test_catalog_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    catalog = tmp_path / "bad.json"
+    catalog.write_text("not json")
+    code, err = run([
+        "beta-ub", "--objects", str(catalog), "--object", "ring", "--mu", "0,0,0.4",
+        "--la", "0.9", "--alpha", "18deg",
+    ], capsys)
+    assert code == 2
+    assert err.startswith(f"error: catalog {catalog} is not JSON: ")
+    with pytest.raises(GeometryError, match="not JSON"):
+        load_catalog(catalog)

@@ -129,15 +129,6 @@ class TestAlignPhase:
             assert p.x + fx == pytest.approx(h[0], abs=1e-9)
             assert p.y + fy == pytest.approx(h[1], abs=1e-9)
 
-    def test_explicit_hole_contact(self):
-        target = (100.0, 250.0)
-        poses = align_phase(BUSHING, cfg_for(), 4, hole_contact=target)
-        p0 = poses[0]
-        vx, vy = rot(-p0.phi, target[0] - p0.x, target[1] - p0.y)
-        for p in poses:
-            fx, fy = rot(p.phi, vx, vy)
-            assert (p.x + fx, p.y + fy) == pytest.approx(target, abs=1e-9)
-
     def test_requires_two_waypoints(self):
         with pytest.raises(ValueError):
             align_phase(BUSHING, cfg_for(), 1)
@@ -152,8 +143,8 @@ class TestSimulateGraspTrajectory:
         first_break = flags.index(False)
         assert first_break / len(flags) > 0.5  # stable for the majority of the tilt
         assert all(flags[:first_break])
-        assert traj.initial_mark == (0.0, 0.9)
-        assert traj.final_mark == (pytest.approx(math.pi / 2), 0.65)
+        assert (traj.samples[0].beta, traj.samples[0].l_a) == (0.0, 0.9)
+        assert (traj.samples[-1].beta, traj.samples[-1].l_a) == (pytest.approx(math.pi / 2), 0.65)
 
     def test_long_cylinder_constant_schedule_stable_throughout(self):
         # steep grasp angle on the long cylinder: no sliding, and the
@@ -182,7 +173,6 @@ class TestSimulateGraspTrajectory:
             BUSHING, SET_C, 0.3, constant_la_schedule(0.5), (), delta=DELTA
         )
         assert traj.samples == ()
-        assert traj.initial_mark is None and traj.final_mark is None
 
     def test_monotonicity_enforced(self):
         grid = degree_grid(0.0, 90.0, 10.0)

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from pivotgrasp.geometry import GraspConfig, ObjectSpec
+from pivotgrasp.geometry import ConfigError, GraspConfig, ObjectSpec
 from pivotgrasp.stability import (
-    SweepCellError,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -100,9 +99,9 @@ class TestRegionSweep:
             region_sweep(BUSHING, SET_B, 0.5, (0.3,), (0.0, math.pi), delta=DELTA)
 
     def test_cell_errors_carry_coordinates(self):
-        with pytest.raises(SweepCellError) as err:
+        with pytest.raises(ConfigError) as err:
             region_sweep(BUSHING, SET_B, 1.5, (0.3,), (0.0,), delta=DELTA)
-        assert err.value.alpha == 0.3 and err.value.beta == 0.0
+        assert err.value.errors == ["l_a_out_of_range"]
 
     def test_default_grids(self):
         alpha = default_alpha_grid()

@@ -59,12 +59,14 @@ def test_exports_resolve_without_duplicates():
 FIELDS = {
     pivotgrasp.GraspConfig: ["l_a", "alpha", "beta", "delta"],
     pivotgrasp.GripperSpec: ["w"],
+    pivotgrasp.GraspTrajectory: ["samples"],
 }
 PARAMETERS = {
     pivotgrasp.solve_force_balance: ["basis", "ext"],
     pivotgrasp.solve_form_closure: ["basis"],
     pivotgrasp.oracle_force_balance: ["basis", "ext"],
     pivotgrasp.linear_la_schedule: ["la_start", "la_end"],
+    pivotgrasp.align_phase: ["obj", "cfg", "n_waypoints"],
 }
 
 
