@@ -184,13 +184,18 @@ def object_from_dict(doc: dict) -> tuple[ObjectSpec, GripperSpec]:
         raise GeometryError(f"catalog entry {doc!r} has no string 'name'")
 
     def number(entry: dict, key: str) -> float:
-        try:
-            return float(entry[key])
-        except (TypeError, ValueError):
-            raise GeometryError(f"{name}: catalog field {key!r} is not a number: {entry[key]!r}") from None
+        value = entry[key]
+        if not isinstance(value, bool):  # float(True) is 1.0
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+        raise GeometryError(f"{name}: catalog field {key!r} is not a number: {value!r}")
 
     try:
-        cylinder = bool(doc.get("cylinder", True))
+        cylinder = doc.get("cylinder", True)
+        if not isinstance(cylinder, bool):
+            raise GeometryError(f"{name}: catalog field 'cylinder' is not a boolean: {cylinder!r}")
         b = doc.get("b_mm")
         if b is None and not cylinder:
             raise GeometryError(f"{name}: prisms must supply b_mm")

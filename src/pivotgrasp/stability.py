@@ -10,9 +10,9 @@ One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
 many cells goes through the batched cone kernel (`lp.cone_membership`),
 which decides the cells clear of the cone boundary in one numpy pass while
 the simplex answers the rest one by one, so a grid gives exactly the
-answers of `is_stable` cell by cell. Grids go through `stable_cells`; the
-bisection of `beta_upper_bound` is batched too, deciding several levels of
-midpoints of every bracket in one kernel call.
+answers of `is_stable` cell by cell. Grids, and the coarse scan of
+`beta_upper_bound`, go through `stable_cells`; the bound's bisection calls
+`is_stable` once per step.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -34,21 +34,27 @@ from .wrenches import FrictionSet, Wrench, contact_wrench_basis, wrench_basis_gr
 MODES = ("force_balance", "form_closure")
 
 
+# A grid point this many steps past its stop still counts as the stop, so
+# a step that divides the range ends on it despite rounding in the division.
+_GRID_TOL = 1e-9
+
+
 def degree_grid(start_deg: float, stop_deg: float, step_deg: float) -> tuple[float, ...]:
-    """Inclusive degree grid converted to radians, built from integer multiples."""
+    """Degree grid `start + i * step` for every i >= 0 up to `stop` inclusive, in radians."""
     if not (math.isfinite(step_deg) and step_deg > 0):
         raise ValueError(f"grid step must be positive and finite, got {step_deg}")
-    n = round((stop_deg - start_deg) / step_deg)
+    n = math.floor((stop_deg - start_deg) / step_deg + _GRID_TOL)
     return tuple(math.radians(start_deg + i * step_deg) for i in range(n + 1))
 
 
 def default_alpha_grid(step_deg: float = 0.5) -> tuple[float, ...]:
-    """Alpha grid over (0, 90) degrees, endpoints excluded."""
-    return degree_grid(step_deg, 90.0 - step_deg, step_deg)
+    """Alpha grid: every multiple of the step inside (0, 90) degrees, endpoints excluded."""
+    # A stop below 90 by twice the tolerance leaves a multiple at 90 out.
+    return degree_grid(step_deg, 90.0 - 2 * _GRID_TOL * step_deg, step_deg)
 
 
 def default_beta_grid(step_deg: float = 0.5) -> tuple[float, ...]:
-    """Beta grid over [0, 90] degrees inclusive."""
+    """Beta grid: every multiple of the step inside [0, 90] degrees inclusive."""
     return degree_grid(0.0, 90.0, step_deg)
 
 
@@ -107,17 +113,6 @@ def stable_cells(
     in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
     first = int(np.argmin(in_range))  # 0 when all are in range
     first_stable = _stable_at(obj, friction, float(la[first]), float(al[first]), float(be[first]), mode, delta)
-    stable = _kernel_cells(obj, friction, la, al, be, mode, delta)
-    stable[first] = first_stable
-    return stable.reshape(shape)
-
-
-def _kernel_cells(obj, friction, la, al, be, mode, delta) -> np.ndarray:
-    """`is_stable` on flat, equally long arrays of in-range cells.
-
-    The kernel decides the cells clear of the cone boundary; the cells it
-    leaves undecided go to `is_stable` one at a time.
-    """
     gens = wrench_basis_grid(obj, friction, la, al, be, delta)
     if mode == "force_balance":
         targets = np.broadcast_to(-np.array(UNIT_GRAVITY.as_tuple()), (la.size, 3))
@@ -126,7 +121,8 @@ def _kernel_cells(obj, friction, la, al, be, mode, delta) -> np.ndarray:
     stable, undecided = cone_membership(gens, targets, obj.a)
     for i in np.flatnonzero(undecided):
         stable[i] = _stable_at(obj, friction, float(la[i]), float(al[i]), float(be[i]), mode, delta)
-    return stable
+    stable[first] = first_stable
+    return stable.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -246,60 +242,6 @@ class BetaBound:
     transitions: tuple[float, ...] = ()
 
 
-# Levels of midpoints decided per kernel call in the bound's bisection: a
-# tree of 2**5 - 1 = 31 midpoints per bracket. Two calls cover the 10
-# halvings that take a 1 degree bracket below the default resolution / 4.
-_BISECT_LEVELS = 5
-
-
-def _midpoint_tree(lo: float, hi: float, tol: float) -> dict[int, float]:
-    """The midpoints the bisection loop can visit in its next `_BISECT_LEVELS` steps.
-
-    Keyed in heap order: node i splits its interval at its midpoint into
-    the unstable half, node 2i + 1, and the stable half, node 2i + 2. Only
-    intervals the loop would still split, `hi - lo > tol`, get a node.
-    """
-    tree, todo = {}, [(0, lo, hi)]
-    while todo:
-        i, lo, hi = todo.pop()
-        if i < 2**_BISECT_LEVELS - 1 and hi - lo > tol:
-            tree[i] = mid = 0.5 * (lo + hi)
-            todo += [(2 * i + 1, lo, mid), (2 * i + 2, mid, hi)]
-    return tree
-
-
-def _bisect(obj, friction, l_a, alpha, delta, brackets, tol: float) -> list[tuple[float, float]]:
-    """Bisect every force-balance bracket (lo, hi) until hi - lo <= tol.
-
-    This is the loop `mid = 0.5 * (lo + hi)`, keep the stable half, while
-    `hi - lo > tol`, run for all brackets together: each round decides the
-    midpoint trees of all brackets in one kernel call and walks each
-    bracket down its decided path. The midpoints are the ones the scalar
-    loop visits, computed by the same float operation, so the result is
-    bit for bit the same.
-    """
-    while True:
-        trees = [_midpoint_tree(lo, hi, tol) for lo, hi in brackets]
-        betas = np.array([m for tree in trees for m in tree.values()])
-        if betas.size == 0:
-            return brackets
-        ok = iter(_kernel_cells(
-            obj, friction, np.full(betas.size, float(l_a)), np.full(betas.size, float(alpha)),
-            betas, "force_balance", delta,
-        ).tolist())
-        walked = []
-        for (lo, hi), tree in zip(brackets, trees):
-            stable = {i: next(ok) for i in tree}
-            i = 0
-            while i in tree:
-                if stable[i]:
-                    lo, i = tree[i], 2 * i + 2
-                else:
-                    hi, i = tree[i], 2 * i + 1
-            walked.append((lo, hi))
-        brackets = walked
-
-
 def beta_upper_bound(
     obj: ObjectSpec,
     friction: FrictionSet,
@@ -313,11 +255,9 @@ def beta_upper_bound(
     """Largest tilt up to which force balance holds, for fixed (l_a, alpha).
 
     Brackets feasibility transitions on a coarse degree grid, evaluated as
-    one batch, then bisects each bracket down to `resolution` radians.
-    The bisection is batched: every kernel call decides the next five
-    levels of midpoints of all brackets at once, with the simplex for
-    cells near the cone boundary, so the bound is the one a scalar loop of
-    `is_stable` calls finds. A `resolution` that is not positive and finite
+    one batch, then bisects each bracket with `is_stable` until it is no
+    wider than `resolution` / 4 radians; each transition is the midpoint of
+    its final bracket. A `resolution` that is not positive and finite
     raises ValueError before any cell is decided.
     """
     if not (math.isfinite(resolution) and resolution > 0):
@@ -330,10 +270,16 @@ def beta_upper_bound(
     k = np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:])
     if k.size == 0:
         return BetaBound(value=None, finite=False, status="not_finite")
-    brackets = list(zip(betas[k].tolist(), betas[k + 1].tolist()))
-    brackets = _bisect(obj, friction, l_a, alpha, delta, brackets, resolution / 4)
-    transitions = tuple(0.5 * (lo + hi) for lo, hi in brackets)
-    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=transitions)
+    transitions = []
+    for lo, hi in zip(betas[k].tolist(), betas[k + 1].tolist()):
+        while hi - lo > resolution / 4:
+            mid = 0.5 * (lo + hi)
+            if _stable_at(obj, friction, l_a, alpha, mid, "force_balance", delta):
+                lo = mid
+            else:
+                hi = mid
+        transitions.append(0.5 * (lo + hi))
+    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=tuple(transitions))
 
 
 def min_alpha(

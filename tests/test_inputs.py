@@ -65,6 +65,18 @@ def test_simulate_rejects_bad_beta_step(tmp_path, capsys):
     assert code == 2 and "--beta-step" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["region", "--la", "0.9", "--alpha-step", "20"],
+    ["simulate", "--alpha", "18deg", "--la-schedule", "0.9:0.65"],
+])
+def test_grid_steps_that_do_not_divide_90_degrees_are_accepted(tmp_path, capsys, command):
+    code, err = run([*command, "--object", "bushing", "--mu", "0.2,0.4,0.4", "--beta-step", "7",
+                     "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    meta = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert meta["beta_grid"] == {"start_deg": 0.0, "stop_deg": 84.0, "count": 13}
+
+
 def test_catalog_entry_without_gripper(tmp_path, capsys):
     catalog = tmp_path / "objects.json"
     catalog.write_text(json.dumps([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "cylinder": True}]))
@@ -238,7 +250,7 @@ def test_beta_upper_bound_rejects_bad_resolution_before_any_cell(monkeypatch, re
         raise AssertionError("a cell was decided")
 
     monkeypatch.setattr(stability, "stable_cells", no_cells)
-    monkeypatch.setattr(stability, "_kernel_cells", no_cells)
+    monkeypatch.setattr(stability, "is_stable", no_cells)
     with pytest.raises(ValueError, match="resolution"):
         beta_upper_bound(BUSHING, FrictionSet(0.0, 0.0, 0.4), 0.9, math.radians(18.0),
                          delta=7.2, resolution=resolution)
@@ -254,6 +266,14 @@ BAD_CATALOGS = {
     "duplicate name": ([{"name": "ring", "a_mm": a, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}
                         for a in (30, 60)],
                        ["objects.json", "lists 'ring' twice"]),
+    "entry not an object": ([5], ["entry 5", "not a JSON object"]),
+    "name not a string": ([{"name": 3, "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}],
+                          ["'name': 3", "no string 'name'"]),
+    "cylinder not a boolean": ([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "cylinder": "false",
+                                 "gripper": {"w_mm": 10}}],
+                               ["ring", "'cylinder'", "not a boolean"]),
+    "boolean length": ([{"name": "ring", "a_mm": True, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}],
+                       ["ring", "'a_mm'", "not a number: True"]),
 }
 
 

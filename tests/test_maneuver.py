@@ -90,6 +90,16 @@ class TestPlanPivot:
         plan = plan_pivot(BUSHING, cfg_for(), LYING, math.pi / 2, 4, beta_ub=0.5)
         assert plan.theta == pytest.approx(0.5)
 
+    def test_rejects_a_bound_at_or_below_the_current_tilt(self):
+        tilted = GripperPose(x=34.0, y=17.0, phi=0.5)
+        for beta_ub in (0.5, 0.2):
+            with pytest.raises(ValueError, match="already at or beyond"):
+                plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2, 4, beta_ub=beta_ub)
+
+    def test_pose_rejects_a_nan_component(self):
+        with pytest.raises(ValueError, match="finite"):
+            GripperPose(x=34.0, y=math.nan, phi=0.0)
+
     def test_plan_json_schema(self):
         plan = plan_pivot(BUSHING, cfg_for(), LYING, math.pi / 2, 3)
         doc = plan_to_dict(plan)

@@ -7,6 +7,7 @@ import pytest
 
 from pivotgrasp.geometry import ConfigError, GraspConfig, ObjectSpec
 from pivotgrasp.stability import (
+    GridMap,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -18,6 +19,7 @@ from pivotgrasp.stability import (
     region_map_csv,
     region_map_meta,
     region_sweep,
+    stable_cells,
 )
 from pivotgrasp.wrenches import FRICTIONLESS, FrictionSet
 
@@ -45,6 +47,10 @@ class TestIsStable:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             is_stable(BUSHING, cfg_for(0.5, 0.5, 0.0), SET_C, "levitation")
+
+    def test_stable_cells_rejects_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            stable_cells(BUSHING, SET_C, 0.5, 0.5, np.zeros(3), "levitation", delta=DELTA)
 
 
 class TestRegionSweep:
@@ -109,6 +115,30 @@ class TestRegionSweep:
         assert len(alpha) == 179 and len(beta) == 181
         assert 0.0 < alpha[0] and alpha[-1] < math.pi / 2
         assert beta[0] == 0.0 and beta[-1] == pytest.approx(math.pi / 2, rel=1e-15)
+
+    @pytest.mark.parametrize("step, alphas, betas", [
+        (7.0, range(7, 90, 7), range(0, 91, 7)),
+        (20.0, (20, 40, 60, 80), (0, 20, 40, 60, 80)),
+        (40.0, (40, 80), (0, 40, 80)),
+        (50.0, (50,), (0, 50)),
+        (89.0, (89,), (0, 89)),
+        (90.0, (), (0, 90)),
+        (100.0, (), (0,)),
+        (0.7, [round(0.7 * k, 9) for k in range(1, 129)], [round(0.7 * k, 9) for k in range(129)]),
+    ])
+    def test_default_grids_hold_every_multiple_inside_their_range(self, step, alphas, betas):
+        assert [round(math.degrees(a), 9) for a in default_alpha_grid(step)] == list(alphas)
+        assert [round(math.degrees(b), 9) for b in default_beta_grid(step)] == list(betas)
+
+    def test_steps_that_divide_the_range_end_on_it(self):
+        for m in range(1, 721):
+            step = 90.0 / m
+            assert len(default_beta_grid(step)) == m + 1
+            assert len(default_alpha_grid(step)) == m - 1
+
+    def test_grid_map_rejects_a_matrix_that_does_not_match_its_axes(self):
+        with pytest.raises(ValueError, match="shape"):
+            GridMap("force_balance", 0.5, DELTA, SET_B, (0.1, 0.2), (0.0,), np.zeros((1, 2), dtype=bool))
 
 
 class TestBetaUpperBound:
