@@ -184,11 +184,12 @@ def object_from_dict(doc: dict) -> tuple[ObjectSpec, GripperSpec]:
         raise GeometryError(f"catalog entry {doc!r} has no string 'name'")
 
     def number(entry: dict, key: str) -> float:
+        # A JSON number loads as int or float; bool is an int subclass.
         value = entry[key]
-        if not isinstance(value, bool):  # float(True) is 1.0
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
                 return float(value)
-            except (TypeError, ValueError):
+            except OverflowError:  # an integer past the float range
                 pass
         raise GeometryError(f"{name}: catalog field {key!r} is not a number: {value!r}")
 

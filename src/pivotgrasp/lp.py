@@ -199,6 +199,8 @@ _TRIPLE_I = np.array([i for i, _, _ in _TRIPLES])
 _TRIPLE_JK = np.array([_PAIR_INDEX[(j, k)] for _, j, k in _TRIPLES])
 _TRIPLE_IK = np.array([_PAIR_INDEX[(i, k)] for i, _, k in _TRIPLES])
 _TRIPLE_IJ = np.array([_PAIR_INDEX[(i, j)] for i, j, _ in _TRIPLES])
+# Pairs of the target's Cramer numerators on g_i, g_k and, negated, g_j.
+_CRAMER = np.concatenate([_TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK])
 
 # Triples of unit generators with |det| at or below this are singular; above
 # it the Cramer coefficients carry at most ~1e-7 of rounding, well inside
@@ -207,11 +209,15 @@ _SINGULAR_DET = 1e-9
 # Scores within +-CONE_BAND of zero are too close to the boundary for the
 # kernel to overrule the simplex's own tolerances.
 CONE_BAND = 1e-6
-# Cells per kernel pass. Small passes keep the temporaries in cache and bound
-# their memory; on a 2-core x86 box a default 32,399-cell grid ran about 2x
-# faster than in one pass, and a 1,295-cell grid about 1.25x faster than at
-# 2,048 cells per pass (fewer page faults from fresh temporaries).
+# Cells per kernel pass. A pass works in _ROWS floats per cell, about 1 MiB
+# at 512 cells, so it stays in cache: on a 2-core x86 box a default
+# 32,399-cell grid ran 2.4 to 2.7x faster than in one pass, and 256 to 2,048
+# cells per pass all ran within about 10 % of each other.
 _CHUNK = 512
+# Workspace rows per cell: g with its m and x rows repeated (5 x 6), t (3),
+# the pair gathers of that g at i and at j (2 x 5 x 15), the pair cross
+# products (3 x 15), tc (15) and det (20).
+_ROWS = 30 + 3 + 150 + 45 + 15 + 20
 
 
 def cone_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndarray:
@@ -224,56 +230,94 @@ def cone_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndar
     coefficient of the target: positive inside the cone, negative outside.
     A zero target scores +inf (inside); a cell whose triples are all
     singular scores NaN.
+
+    Cells go through in chunks of `_CHUNK`. One workspace, made here, serves
+    all chunks of the call: every float array of a chunk is a view of its
+    leading entries, so a chunk allocates only its boolean masks.
     """
-    score = np.empty(len(gens))
-    for s in range(0, len(gens), _CHUNK):
-        score[s:s + _CHUNK] = _chunk_scores(gens[s:s + _CHUNK], targets[s:s + _CHUNK], length)
+    n = len(gens)
+    score = np.empty(n)
+    work = np.empty(_ROWS * min(n, _CHUNK))
+    scale = np.array([1.0 / length, 1.0, 1.0])[:, None]
+    for s in range(0, n, _CHUNK):
+        out = score[s:s + _CHUNK]
+        rows = work[:_ROWS * len(out)].reshape(_ROWS, len(out))
+        _chunk_scores(gens[s:s + _CHUNK], targets[s:s + _CHUNK], scale, rows, out)
     return score
 
 
-def _chunk_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndarray:
-    scale = np.array([1.0 / length, 1.0, 1.0])
-    g = np.ascontiguousarray((gens * scale).transpose(2, 1, 0))  # (3, 6, N)
-    g /= np.sqrt((g * g).sum(axis=0))
-    t = (targets * scale).T  # (3, N)
-    t_norm = np.sqrt((t * t).sum(axis=0))
+def _chunk_scores(
+    gens: np.ndarray, targets: np.ndarray, scale: np.ndarray, work: np.ndarray, out: np.ndarray
+) -> None:
+    """Scores of one chunk into `out`; every float temporary is a row view of `work`.
+
+    `work` has shape (_ROWS, n) for the chunk's n cells. The pair gather
+    rows serve as scratch before they are filled and after their last use.
+    Each step applies the ufuncs of the plain expression in its comment, in
+    the same operand order, so the workspace layout changes no bit of a
+    score. Gathers use mode="clip": with the default "raise", `take`
+    buffers through a temporary.
+    """
+    n = len(out)
+    g5 = work[:30].reshape(5, 6, n)  # rows m, x, y, m, x
+    t = work[30:33]
+    scratch = work[33:183]
+    pi = scratch[:75].reshape(5, 15, n)  # g5 at each pair's i
+    pj = scratch[75:].reshape(5, 15, n)  # g5 at each pair's j
+    cross = work[183:228].reshape(3, 15, n)
+    tc = work[228:243]
+    det = work[243:263]
+
+    g = g5[:3]
+    np.multiply(gens.transpose(2, 1, 0), scale[:, None], out=g)  # (3, 6, n)
+    sq, norm = scratch[:18].reshape(3, 6, n), scratch[18:24]
+    np.multiply(g, g, out=sq)
+    np.add.reduce(sq, axis=0, out=norm)
+    np.sqrt(norm, out=norm)
+    g /= norm
+    np.multiply(targets.T, scale, out=t)  # (3, n)
+    sq, t_norm = scratch[24:27], scratch[27]
+    np.multiply(t, t, out=sq)
+    np.add.reduce(sq, axis=0, out=t_norm)
+    np.sqrt(t_norm, out=t_norm)
     zero = t_norm == 0.0
-    t = t / np.where(zero, 1.0, t_norm)
+    t_norm[zero] = 1.0
+    t /= t_norm
 
-    # In-place updates below keep fresh temporaries, and so page faults, down.
-    m, x, y = g
-    mi, xi, yi = m[_PAIR_I], x[_PAIR_I], y[_PAIR_I]
-    mj, xj, yj = m[_PAIR_J], x[_PAIR_J], y[_PAIR_J]
-    cm = xi * yj  # (15, N): pair cross products g_i x g_j
-    cm -= yi * xj
-    cx = yi * mj
-    cx -= mi * yj
-    cy = mi * xj
-    cy -= xi * mj
-    tc = t[0] * cm  # target . (g_i x g_j)
-    tc += t[1] * cx
-    tc += t[2] * cy
-
-    det = m[_TRIPLE_I] * cm[_TRIPLE_JK]  # (20, N): g_i . (g_j x g_k)
-    det += x[_TRIPLE_I] * cx[_TRIPLE_JK]
-    det += y[_TRIPLE_I] * cy[_TRIPLE_JK]
-    singular = np.abs(det) <= _SINGULAR_DET
+    # cm, cx, cy = xi*yj - yi*xj, yi*mj - mi*yj, mi*xj - xi*mj (g_i x g_j)
+    np.copyto(g5[3:], g5[:2])
+    g5.take(_PAIR_I, axis=1, out=pi, mode="clip")
+    g5.take(_PAIR_J, axis=1, out=pj, mode="clip")
+    np.multiply(pi[1:4], pj[2:5], out=cross)
+    np.multiply(pi[2:5], pj[1:4], out=pi[2:5])
+    cross -= pi[2:5]
+    # tc = t0*cm + t1*cx + t2*cy, the target . (g_i x g_j)
+    terms = scratch[:45].reshape(3, 15, n)
+    np.multiply(t[:, None], cross, out=terms)
+    np.add(terms[0], terms[1], out=tc)
+    tc += terms[2]
+    # det = m[i]*cm[jk] + x[i]*cx[jk] + y[i]*cy[jk], the g_i . (g_j x g_k)
+    gi, cjk = scratch[:60].reshape(3, 20, n), scratch[60:120].reshape(3, 20, n)
+    g.take(_TRIPLE_I, axis=1, out=gi, mode="clip")
+    cross.take(_TRIPLE_JK, axis=1, out=cjk, mode="clip")
+    np.multiply(gi, cjk, out=gi)
+    np.add(gi[0], gi[1], out=det)
+    det += gi[2]
+    np.abs(det, out=scratch[:20])
+    singular = scratch[:20] <= _SINGULAR_DET
     det[singular] = 1.0
-    # Cramer's rule: the target's coefficients on g_i, g_j, g_k.
-    smallest = tc[_TRIPLE_JK]
-    smallest /= det
-    k = tc[_TRIPLE_IJ]
+    # Cramer's rule: smallest = min(min(tc[jk] / det, tc[ij] / det), -(tc[ik] / det))
+    k = scratch[:60].reshape(3, 20, n)
+    tc.take(_CRAMER, axis=0, out=k.reshape(60, n), mode="clip")
     k /= det
-    np.minimum(smallest, k, out=smallest)
-    k = tc[_TRIPLE_IK]
-    k /= det
-    np.negative(k, out=k)
-    np.minimum(smallest, k, out=smallest)
+    np.negative(k[2], out=k[2])
+    smallest = k[0]
+    np.minimum(smallest, k[1], out=smallest)
+    np.minimum(smallest, k[2], out=smallest)
     smallest[singular] = -np.inf
-    score = smallest.max(axis=0)
-    score[score == -np.inf] = np.nan
-    score[zero] = np.inf
-    return score
+    np.maximum.reduce(smallest, axis=0, out=out)
+    out[out == -np.inf] = np.nan
+    out[zero] = np.inf
 
 
 def cone_membership(gens: np.ndarray, targets: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:

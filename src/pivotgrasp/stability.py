@@ -54,8 +54,12 @@ def default_alpha_grid(step_deg: float = 0.5) -> tuple[float, ...]:
 
 
 def default_beta_grid(step_deg: float = 0.5) -> tuple[float, ...]:
-    """Beta grid: every multiple of the step inside [0, 90] degrees inclusive."""
-    return degree_grid(0.0, 90.0, step_deg)
+    """Beta grid: every multiple of the step inside [0, 90] degrees inclusive.
+
+    A last point that the conversion rounds past 90 degrees is 90 degrees.
+    """
+    grid = degree_grid(0.0, 90.0, step_deg)
+    return grid[:-1] + (min(grid[-1], HALF_PI),)
 
 
 DEFAULT_LA_FAMILY = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -104,7 +108,8 @@ def stable_cells(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    la, al, be = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (l_a, alpha, beta)))
+    axes = [np.asarray(v, dtype=float) for v in (l_a, alpha, beta)]
+    la, al, be = np.broadcast_arrays(*axes)
     shape = la.shape
     la, al, be = la.ravel(), al.ravel(), be.ravel()
     if la.size == 0:
@@ -113,7 +118,8 @@ def stable_cells(
     in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
     first = int(np.argmin(in_range))  # 0 when all are in range
     first_stable = _stable_at(obj, friction, float(la[first]), float(al[first]), float(be[first]), mode, delta)
-    gens = wrench_basis_grid(obj, friction, la, al, be, delta)
+    # Un-broadcast axes: trig runs once per axis value, not once per cell.
+    gens = wrench_basis_grid(obj, friction, *axes, delta)
     if mode == "force_balance":
         targets = np.broadcast_to(-np.array(UNIT_GRAVITY.as_tuple()), (la.size, 3))
     else:
@@ -262,7 +268,7 @@ def beta_upper_bound(
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    betas = np.array(degree_grid(0.0, 90.0, coarse_step_deg))
+    betas = np.array(default_beta_grid(coarse_step_deg))
     coarse_ok = stable_cells(obj, friction, l_a, alpha, betas, delta=delta)
     if not coarse_ok[0]:
         return BetaBound(value=None, finite=False, status="infeasible_at_start")

@@ -77,6 +77,30 @@ def test_grid_steps_that_do_not_divide_90_degrees_are_accepted(tmp_path, capsys,
     assert meta["beta_grid"] == {"start_deg": 0.0, "stop_deg": 84.0, "count": 13}
 
 
+# 90/m degrees for these m converts to a last grid point past 90 degrees.
+ROUNDED_PAST_90 = (169, 338, 339, 591, 609, 651, 676, 678, 715)
+
+
+def test_beta_grids_of_steps_dividing_90_degrees_end_inside_the_range():
+    for m in range(1, 721):
+        grid, unclamped = stability.default_beta_grid(90 / m), degree_grid(0.0, 90.0, 90 / m)
+        assert len(grid) == m + 1 and grid[-1] <= math.pi / 2
+        if m in ROUNDED_PAST_90:
+            assert unclamped[-1] > math.pi / 2 and grid == unclamped[:-1] + (math.pi / 2,)
+        else:
+            assert grid == unclamped
+
+
+def test_beta_step_rounding_past_90_degrees_is_accepted(tmp_path, capsys):
+    code, err = run(["region", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--la", "0.9",
+                     "--alpha-step", "30", "--beta-step", str(90 / 169), "--out-dir", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    meta = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert meta["beta_grid"] == {"start_deg": 0.0, "stop_deg": 90.0, "count": 170}
+    bound = beta_upper_bound(BUSHING, SET_C, 0.9, 0.3, delta=7.2, coarse_step_deg=90 / 169)
+    assert bound.status in ("finite", "not_finite")
+
+
 def test_catalog_entry_without_gripper(tmp_path, capsys):
     catalog = tmp_path / "objects.json"
     catalog.write_text(json.dumps([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "cylinder": True}]))
@@ -274,6 +298,13 @@ BAD_CATALOGS = {
                                ["ring", "'cylinder'", "not a boolean"]),
     "boolean length": ([{"name": "ring", "a_mm": True, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}],
                        ["ring", "'a_mm'", "not a number: True"]),
+    "string length": ([{"name": "ring", "a_mm": "30", "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}],
+                      ["ring", "'a_mm'", "not a number: '30'"]),
+    "string gripper width": ([{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": "10"}}],
+                             ["ring", "'w_mm'", "not a number: '10'"]),
+    "integer past the float range": ([{"name": "ring", "a_mm": 10**400, "D_mm": 30, "d_mm": 20,
+                                       "gripper": {"w_mm": 10}}],
+                                     ["ring", "'a_mm'", "not a number: 1000"]),
 }
 
 

@@ -174,6 +174,30 @@ def test_scores_on_known_cones():
     assert undecided[0] and not inside[0]
 
 
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 3 * 512 + 7])
+def test_batched_scores_equal_scores_computed_alone(n):
+    # A zero target (+inf) and an all-singular cell (NaN) sit just after the
+    # first full chunk, where a row left over from it would show.
+    rng = np.random.default_rng(n)
+    gens = wrench_basis_grid(
+        BUSHING, SETS["C"], rng.uniform(0.01, 1.0, n), rng.uniform(0.005, math.pi / 2 - 0.005, n),
+        rng.uniform(0.0, math.pi / 2, n), DELTA,
+    )
+    chunk = lp._CHUNK
+    if n > chunk + 1:
+        gens[chunk + 1] = [[1.0, 0, 0], [0, 1.0, 0], [1.0, 1, 0]] * 2
+    for mode in MODES:
+        targets = np.array(targets_for(gens, mode))
+        if n > chunk + 1:
+            targets[chunk] = 0.0
+            targets[chunk + 1] = [1.0, 1, 0]
+        batched = cone_scores(gens, targets, BUSHING.a)
+        alone = np.concatenate([cone_scores(gens[i:i + 1], targets[i:i + 1], BUSHING.a) for i in range(n)])
+        assert batched.tobytes() == alone.tobytes()
+        if n > chunk + 1:
+            assert batched[chunk] == math.inf and math.isnan(batched[chunk + 1])
+
+
 def test_grasp_plane_sweep_matches_cells():
     la_grid, beta_grid = (0.3, 0.5, 0.7, 0.9), degree_grid(0.0, 90.0, 6.0)
     for mode in MODES:

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pivotgrasp.geometry import GraspConfig, ObjectSpec
@@ -11,6 +12,7 @@ from pivotgrasp.wrenches import (
     FrictionSet,
     contact_wrench_basis,
     gravity_wrench,
+    wrench_basis_grid,
 )
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
@@ -128,3 +130,17 @@ class TestBasisProperties:
             for w0, w1 in zip(b0, b1):
                 for c0, c1 in zip(w0.as_tuple(), w1.as_tuple()):
                     assert abs(c1 - c0) / h < bound
+
+
+def test_basis_on_unbroadcast_axes_equals_the_raveled_call():
+    # Trig on the axes alone must give the very bits of trig on every cell.
+    rng = np.random.default_rng(11)
+    friction, delta = FrictionSet(0.2, 0.4, 0.3), 7.2
+    la = rng.uniform(0.01, 1.0, (23, 1))
+    alpha = rng.uniform(0.005, math.pi / 2 - 0.005, (23, 1))
+    beta = rng.uniform(0.0, math.pi / 2, (1, 37))
+    for axes in ((0.7, alpha, beta), (la, 0.3, beta)):
+        raveled = [v.ravel() for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in axes))]
+        grid = wrench_basis_grid(BUSHING, friction, *axes, delta)
+        assert grid.shape == (23 * 37, 6, 3) and grid.flags.c_contiguous
+        assert np.array_equal(grid, wrench_basis_grid(BUSHING, friction, *raveled, delta))
