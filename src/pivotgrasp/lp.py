@@ -11,7 +11,9 @@ decided by `cone_membership`, a numpy kernel over the 20 column triples
 (Caratheodory's theorem for cones). The kernel leaves cells within
 `CONE_BAND` of the cone boundary undecided; those, single cells and every
 certificate go to the two-phase dense simplex with Bland's rule (no cycling)
-on the 3-equality-row LP, which returns the minimising coefficients. Both
+on the 3-equality-row LP, which returns the minimising coefficients.
+`cone_score` is the kernel's score for one cell in Python floats, equal to
+the kernel's, for callers that decide cells one at a time. Both
 LPs reach it through one wrapper (`_solve_shifted`) that differs between
 them only in the external wrench and the lower bound. An
 independent basic-solution enumeration oracle (`oracle_force_balance`)
@@ -195,10 +197,9 @@ _TRIPLES = tuple(combinations(range(6), 3))
 _PAIR_I = np.array([i for i, _ in _PAIRS])
 _PAIR_J = np.array([j for _, j in _PAIRS])
 _PAIR_INDEX = {pair: n for n, pair in enumerate(_PAIRS)}
-_TRIPLE_I = np.array([i for i, _, _ in _TRIPLES])
-_TRIPLE_JK = np.array([_PAIR_INDEX[(j, k)] for _, j, k in _TRIPLES])
-_TRIPLE_IK = np.array([_PAIR_INDEX[(i, k)] for i, _, k in _TRIPLES])
-_TRIPLE_IJ = np.array([_PAIR_INDEX[(i, j)] for i, j, _ in _TRIPLES])
+# Per triple (i, j, k): i and the indices of its pairs (j, k), (i, j), (i, k).
+_TRIPLE_PAIRS = tuple((i, _PAIR_INDEX[(j, k)], _PAIR_INDEX[(i, j)], _PAIR_INDEX[(i, k)]) for i, j, k in _TRIPLES)
+_TRIPLE_I, _TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK = map(np.array, zip(*_TRIPLE_PAIRS))
 # Pairs of the target's Cramer numerators on g_i, g_k and, negated, g_j.
 _CRAMER = np.concatenate([_TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK])
 
@@ -318,6 +319,55 @@ def _chunk_scores(
     np.maximum.reduce(smallest, axis=0, out=out)
     out[out == -np.inf] = np.nan
     out[zero] = np.inf
+
+
+def cone_score(gens, target, length: float) -> float:
+    """`cone_scores` of one cell, in Python floats.
+
+    gens is six (m, fx, fy) triples and target one. Every step applies the
+    kernel's operations in the kernel's order, so the score equals the
+    kernel's for the same cell: +inf for a zero target, NaN where every
+    triple is singular or an input makes the kernel's arithmetic NaN.
+    """
+    inv = 1.0 / length
+    tm, tx, ty = target
+    tm = tm * inv
+    t_norm = math.sqrt(tm * tm + tx * tx + ty * ty)
+    if t_norm == 0.0:
+        return math.inf
+    tm, tx, ty = tm / t_norm, tx / t_norm, ty / t_norm
+    g = []
+    for m, x, y in gens:
+        m = m * inv
+        norm = math.sqrt(m * m + x * x + y * y)
+        if norm == 0.0:  # the kernel divides 0 by 0 here
+            return math.nan
+        g.append((m / norm, x / norm, y / norm))
+    # A NaN input leaves a NaN in every nonsingular triple, which the kernel's
+    # minimum and maximum propagate and Python's comparisons would drop.
+    if math.isnan(tm + tx + ty + sum(map(sum, g))):
+        return math.nan
+    cross, tc = [], []
+    for i, j in _PAIRS:
+        mi, xi, yi = g[i]
+        mj, xj, yj = g[j]
+        cm, cx, cy = xi * yj - yi * xj, yi * mj - mi * yj, mi * xj - xi * mj
+        cross.append((cm, cx, cy))
+        tc.append(tm * cm + tx * cx + ty * cy)
+    best = -math.inf
+    for i, jk, ij, ik in _TRIPLE_PAIRS:
+        mi, xi, yi = g[i]
+        cm, cx, cy = cross[jk]
+        det = mi * cm + xi * cx + yi * cy
+        if abs(det) <= _SINGULAR_DET:
+            continue
+        k0, k1, k2 = tc[jk] / det, tc[ij] / det, -(tc[ik] / det)
+        smallest = k0 if k0 < k1 else k1
+        if k2 < smallest:
+            smallest = k2
+        if smallest > best:
+            best = smallest
+    return math.nan if best == -math.inf else best
 
 
 def cone_membership(gens: np.ndarray, targets: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:

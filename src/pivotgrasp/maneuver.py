@@ -164,7 +164,13 @@ def linear_la_schedule(la_start: float, la_end: float) -> Callable[[float], floa
         raise ValueError("sliding can only shorten l_a")
 
     def schedule(beta: float) -> float:
-        frac = min(max(beta / HALF_PI, 0.0), 1.0)
+        # min(max(beta / HALF_PI, 0.0), 1.0) without the builtins' call cost;
+        # NaN and -0.0 pass through as they do there.
+        frac = beta / HALF_PI
+        if frac < 0.0:
+            frac = 0.0
+        elif frac > 1.0:
+            frac = 1.0
         return la_start + (la_end - la_start) * frac
 
     return schedule
@@ -184,16 +190,18 @@ def simulate_grasp_trajectory(
     delta: float,
 ) -> GraspTrajectory:
     """Evaluate force-balance stability along the prescribed schedule, as one batch."""
-    if any(b2 < b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
+    betas = np.array(beta_grid, dtype=float)
+    if np.any(betas[1:] < betas[:-1]):
         raise ValueError("beta grid must be non-decreasing")
     if not beta_grid:
         return GraspTrajectory(samples=())
 
     las = [la_schedule(beta) for beta in beta_grid]
-    if any(l2 > l1 + 1e-12 for l1, l2 in zip(las, las[1:])):
+    la_axis = np.array(las, dtype=float)
+    if np.any(la_axis[1:] > la_axis[:-1] + 1e-12):
         raise ValueError("l_a schedule must be non-increasing in beta")
 
-    stable = stable_cells(obj, friction, np.array(las), alpha, np.array(beta_grid), delta=delta)
+    stable = stable_cells(obj, friction, la_axis, alpha, betas, delta=delta)
     return GraspTrajectory(samples=tuple(map(TrajectorySample, beta_grid, las, stable.tolist())))
 
 

@@ -10,9 +10,11 @@ One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
 many cells goes through the batched cone kernel (`lp.cone_membership`),
 which decides the cells clear of the cone boundary in one numpy pass while
 the simplex answers the rest one by one, so a grid gives exactly the
-answers of `is_stable` cell by cell. Grids, and the coarse scan of
-`beta_upper_bound`, go through `stable_cells`; the bound's bisection calls
-`is_stable` once per step.
+answers of `is_stable` cell by cell. Grids go through `stable_cells`, and
+the coarse scan of `beta_upper_bound` through its kernel body. The bound's
+bisection decides each step by the scalar form of the kernel's score
+(`lp.cone_score`), so a step asks the simplex only where a batched cell
+would: within the band or at a NaN score.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -27,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp
 from .geometry import HALF_PI, GraspConfig, ObjectSpec, validate_config
 from .lp import cone_membership, solve_force_balance, solve_form_closure
-from .wrenches import FrictionSet, Wrench, contact_wrench_basis, wrench_basis_grid
+from .wrenches import FrictionSet, Wrench, _edge_wrenches, contact_wrench_basis, wrench_basis_grid
 
 MODES = ("force_balance", "form_closure")
 
@@ -68,6 +71,8 @@ DEFAULT_LA_FAMILY = (0.5, 0.6, 0.7, 0.8, 0.9)
 # does not depend on the weight, and the simplex's absolute tolerances
 # would make it depend on the mass if the weight were the target.
 UNIT_GRAVITY = Wrench(0.0, 0.0, -1.0)
+# The direction the contact cone must hold for force balance: -UNIT_GRAVITY.
+_FORCE_BALANCE_TARGET = UNIT_GRAVITY.scaled(-1.0).as_tuple()
 
 
 def is_stable(
@@ -109,26 +114,44 @@ def stable_cells(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     axes = [np.asarray(v, dtype=float) for v in (l_a, alpha, beta)]
-    la, al, be = np.broadcast_arrays(*axes)
-    shape = la.shape
-    la, al, be = la.ravel(), al.ravel(), be.ravel()
-    if la.size == 0:
+    shape = np.broadcast_shapes(*(v.shape for v in axes))
+    if math.prod(shape) == 0:
         return np.zeros(shape, dtype=bool)
 
-    in_range = (0 < la) & (la <= 1) & (0 < al) & (al < HALF_PI) & (0 <= be) & (be <= HALF_PI)
-    first = int(np.argmin(in_range))  # 0 when all are in range
-    first_stable = _stable_at(obj, friction, float(la[first]), float(al[first]), float(be[first]), mode, delta)
-    # Un-broadcast axes: trig runs once per axis value, not once per cell.
+    la, al, be = axes
+    # Ranges are checked per axis; cells are formed only to find the first that fails.
+    ok_la, ok_al, ok_be = (0 < la) & (la <= 1), (0 < al) & (al < HALF_PI), (0 <= be) & (be <= HALF_PI)
+    first = 0
+    if not (ok_la.all() and ok_al.all() and ok_be.all()):
+        first = int(np.argmin((ok_la & ok_al & ok_be).ravel()))
+    first_stable = _stable_at(obj, friction, *_cell(axes, shape, first), mode, delta)
+    stable = _kernel_cells(obj, friction, axes, shape, mode, delta)
+    stable[first] = first_stable
+    return stable.reshape(shape)
+
+
+def _cell(axes, shape, i: int) -> tuple[float, float, float]:
+    """(l_a, alpha, beta) of cell `i`, in C order, of the broadcast axes."""
+    index = np.unravel_index(i, shape)
+    return tuple(float(np.broadcast_to(v, shape)[index]) for v in axes)
+
+
+def _kernel_cells(obj, friction, axes, shape, mode, delta) -> np.ndarray:
+    """Flat C-order stability of the cells of in-range broadcast axes.
+
+    The kernel decides every cell clear of the cone boundary and `is_stable`
+    the rest. The axes go in un-broadcast: trig runs once per axis value,
+    not once per cell.
+    """
     gens = wrench_basis_grid(obj, friction, *axes, delta)
     if mode == "force_balance":
-        targets = np.broadcast_to(-np.array(UNIT_GRAVITY.as_tuple()), (la.size, 3))
+        targets = np.broadcast_to(_FORCE_BALANCE_TARGET, (len(gens), 3))
     else:
         targets = -gens.sum(axis=1)
     stable, undecided = cone_membership(gens, targets, obj.a)
-    for i in np.flatnonzero(undecided):
-        stable[i] = _stable_at(obj, friction, float(la[i]), float(al[i]), float(be[i]), mode, delta)
-    stable[first] = first_stable
-    return stable.reshape(shape)
+    for i in np.flatnonzero(undecided).tolist():
+        stable[i] = _stable_at(obj, friction, *_cell(axes, shape, i), mode, delta)
+    return stable
 
 
 @dataclass(frozen=True)
@@ -261,15 +284,26 @@ def beta_upper_bound(
     """Largest tilt up to which force balance holds, for fixed (l_a, alpha).
 
     Brackets feasibility transitions on a coarse degree grid, evaluated as
-    one batch, then bisects each bracket with `is_stable` until it is no
-    wider than `resolution` / 4 radians; each transition is the midpoint of
-    its final bracket. A `resolution` that is not positive and finite
-    raises ValueError before any cell is decided.
+    one batch and closed by 90 degrees when the step does not divide it,
+    then bisects each bracket until it is no wider than `resolution` / 4
+    radians; each transition is the midpoint of its final bracket. A
+    `resolution` that is not positive and finite raises ValueError before
+    any cell is decided, and an `l_a`, `alpha` or `delta` out of range
+    raises the ConfigError of the cell at beta = 0.
+
+    Each bisection step is decided by the cone score of the cell's scalar
+    basis (`lp.cone_score`) and goes to `is_stable` only when that score
+    lies within `lp.CONE_BAND` of zero or is NaN, as a batched cell would.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    betas = np.array(default_beta_grid(coarse_step_deg))
-    coarse_ok = stable_cells(obj, friction, l_a, alpha, betas, delta=delta)
+    betas = default_beta_grid(coarse_step_deg)
+    if HALF_PI - betas[-1] > _GRID_TOL * math.radians(coarse_step_deg):
+        betas += (HALF_PI,)
+    validate_config(GraspConfig(l_a=l_a, alpha=alpha, beta=0.0, delta=delta), obj)
+    betas = np.array(betas)
+    axes = [np.asarray(l_a, dtype=float), np.asarray(alpha, dtype=float), betas]
+    coarse_ok = _kernel_cells(obj, friction, axes, betas.shape, "force_balance", delta)
     if not coarse_ok[0]:
         return BetaBound(value=None, finite=False, status="infeasible_at_start")
 
@@ -280,12 +314,24 @@ def beta_upper_bound(
     for lo, hi in zip(betas[k].tolist(), betas[k + 1].tolist()):
         while hi - lo > resolution / 4:
             mid = 0.5 * (lo + hi)
-            if _stable_at(obj, friction, l_a, alpha, mid, "force_balance", delta):
+            if _stable_by_score(obj, friction, l_a, alpha, mid, delta):
                 lo = mid
             else:
                 hi = mid
         transitions.append(0.5 * (lo + hi))
     return BetaBound(value=transitions[0], finite=True, status="finite", transitions=tuple(transitions))
+
+
+def _stable_by_score(obj, friction, l_a, alpha, beta, delta) -> bool:
+    """Force balance at one in-range cell: its cone score, or `is_stable` inside the band."""
+    edges = _edge_wrenches(
+        math.sin, math.cos, obj.a, obj.b, 2.0 * obj.a * l_a, delta,
+        alpha, beta, friction.gamma_s, friction.gamma_h, friction.gamma_g,
+    )
+    score = lp.cone_score(edges, _FORCE_BALANCE_TARGET, obj.a)
+    if abs(score) > lp.CONE_BAND:  # read at call time, as `cone_membership` does
+        return score > 0
+    return _stable_at(obj, friction, l_a, alpha, beta, "force_balance", delta)
 
 
 def min_alpha(

@@ -274,10 +274,38 @@ def test_beta_upper_bound_rejects_bad_resolution_before_any_cell(monkeypatch, re
         raise AssertionError("a cell was decided")
 
     monkeypatch.setattr(stability, "stable_cells", no_cells)
+    monkeypatch.setattr(stability, "_kernel_cells", no_cells)
+    monkeypatch.setattr(stability.lp, "cone_score", no_cells)
     monkeypatch.setattr(stability, "is_stable", no_cells)
     with pytest.raises(ValueError, match="resolution"):
         beta_upper_bound(BUSHING, FrictionSet(0.0, 0.0, 0.4), 0.9, math.radians(18.0),
                          delta=7.2, resolution=resolution)
+
+
+# Out-of-range bound parameters and the ConfigError codes of the cell at
+# beta = 0, the codes the bound raised when its scan's first cell decided it.
+BAD_BOUND_PARAMETERS = [
+    ((1.5, 0.3, 7.2), ["l_a_out_of_range"]),
+    ((0.0, 0.3, 7.2), ["l_a_out_of_range"]),
+    ((math.nan, 0.3, 7.2), ["l_a_out_of_range"]),
+    ((0.9, 0.0, 7.2), ["alpha_degenerate_pinch"]),
+    ((0.9, math.nan, 7.2), ["alpha_degenerate_pinch"]),
+    ((0.9, math.pi / 2, 7.2), ["alpha_direct_hole_grasp"]),
+    ((0.9, 0.3, 17.0), ["delta_out_of_range"]),
+    ((0.9, 0.3, 0.0), ["delta_out_of_range"]),
+    ((-1.0, 2.0, math.nan), ["l_a_out_of_range", "alpha_direct_hole_grasp", "delta_out_of_range"]),
+]
+
+
+@pytest.mark.parametrize("params, errors", BAD_BOUND_PARAMETERS)
+def test_beta_upper_bound_raises_the_config_error_of_its_first_cell(params, errors):
+    l_a, alpha, delta = params
+    with pytest.raises(ConfigError) as err:
+        beta_upper_bound(BUSHING, FrictionSet(0.0, 0.0, 0.4), l_a, alpha, delta=delta)
+    assert err.value.errors == errors
+    with pytest.raises(ConfigError) as cell:
+        is_stable(BUSHING, GraspConfig(l_a, alpha, 0.0, delta), FrictionSet(0.0, 0.0, 0.4))
+    assert cell.value.errors == errors
 
 
 # Catalogs that parse as JSON but not as a catalog, with words the error must name.

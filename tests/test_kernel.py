@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pivotgrasp import lp
+from pivotgrasp import lp, stability
 from pivotgrasp.geometry import GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
 from pivotgrasp.lp import cone_membership, cone_scores, solve_force_balance
 from pivotgrasp.maneuver import linear_la_schedule, simulate_grasp_trajectory
@@ -198,6 +198,45 @@ def test_batched_scores_equal_scores_computed_alone(n):
             assert batched[chunk] == math.inf and math.isnan(batched[chunk + 1])
 
 
+def test_scalar_score_equals_the_kernel_score():
+    # 5,000 random catalog cells, frictionless and random friction, against
+    # both targets and a zero target, then an all-singular cell: the scalar
+    # score must be the kernel's, NaN where the kernel's is NaN.
+    rng = np.random.default_rng(808)
+    catalog = list(load_catalog().values())
+    cells = 0
+    for n in range(500):
+        obj, gripper = catalog[n % len(catalog)]
+        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+        friction = FRICTIONLESS if n % 3 == 0 else FrictionSet(*rng.uniform(0.0, 0.6, 3))
+        gens = wrench_basis_grid(
+            obj, friction, rng.uniform(0.01, 1.0, 10), rng.uniform(0.005, math.pi / 2 - 0.005, 10),
+            rng.uniform(0.0, math.pi / 2, 10), delta,
+        )
+        for targets in (targets_for(gens, "force_balance"), targets_for(gens, "form_closure"), np.zeros((10, 3))):
+            kernel = cone_scores(gens, targets, obj.a)
+            for cell, target, want in zip(gens.tolist(), targets.tolist(), kernel.tolist()):
+                got = lp.cone_score(cell, target, obj.a)
+                assert got == want or (math.isnan(got) and math.isnan(want)), (n, got, want)
+        cells += len(gens)
+    flat = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]] * 2
+    assert math.isnan(cone_scores(np.array([flat]), np.array([[1.0, 1.0, 0.0]]), 1.0)[0])
+    assert math.isnan(lp.cone_score(flat, (1.0, 1.0, 0.0), 1.0))
+    assert lp.cone_score(flat, (0.0, 0.0, 0.0), 1.0) == math.inf
+    # NaN or infinite inputs and a zero generator make the kernel's arithmetic NaN.
+    octant = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] * 2
+    ones = (1.0, 1.0, 1.0)
+    for cell, target in (
+        ([[math.nan, 0.0, 1.0]] + octant[1:], ones), (octant, (math.nan, 1.0, 1.0)),
+        ([[math.inf, 0.0, 1.0]] + octant[1:], ones), ([[0.0, 0.0, 0.0]] + octant[1:], ones),
+    ):
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(cone_scores(np.array([cell]), np.array([target]), 1.0)[0])
+        assert math.isnan(lp.cone_score(cell, target, 1.0))
+    assert cells == 5000
+    print(f"scalar scores: {cells} cells x 3 targets equal to the kernel's")
+
+
 def test_grasp_plane_sweep_matches_cells():
     la_grid, beta_grid = (0.3, 0.5, 0.7, 0.9), degree_grid(0.0, 90.0, 6.0)
     for mode in MODES:
@@ -316,6 +355,20 @@ def test_bisection_band_path_matches_the_scalar_loop(monkeypatch):
         alpha = math.radians(alpha_deg)
         bound = beta_upper_bound(BUSHING, friction, l_a, alpha, delta=DELTA)
         assert bound == _loop_beta_bound(BUSHING, friction, l_a, alpha, delta=DELTA)
+
+
+def test_a_clear_bound_asks_the_simplex_nothing(monkeypatch):
+    # Every coarse cell and bisection step of this bound is clear of the
+    # band, so no cell reaches the simplex.
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kwargs: calls.append(fn.__name__) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_stable_at", counted(stability._stable_at))
+    monkeypatch.setattr(stability, "is_stable", counted(stability.is_stable))
+    bound = beta_upper_bound(BUSHING, SETS["B"], 0.9, math.radians(18.0), delta=DELTA)
+    assert bound.status == "finite" and calls == []
 
 
 def test_force_balance_does_not_depend_on_mass():

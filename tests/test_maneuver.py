@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -197,6 +198,21 @@ class TestSimulateGraspTrajectory:
             )
         with pytest.raises(ValueError):
             linear_la_schedule(0.5, 0.9)
+
+    def test_linear_schedule_matches_the_clamped_expression_bit_for_bit(self):
+        def clamped(la_start, la_end, beta):
+            return la_start + (la_end - la_start) * min(max(beta / (math.pi / 2), 0.0), 1.0)
+
+        edges = [0.0, -0.0, math.pi / 2, math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 4.0),
+                 2.0, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        rng = random.Random(11)
+        for n in range(2000):
+            la_start = rng.uniform(0.01, 1.0)
+            la_end = rng.uniform(0.0, la_start)
+            schedule = linear_la_schedule(la_start, la_end)
+            for beta in [rng.uniform(-1.0, 3.0)] + (edges if n < 20 else []):
+                got, want = schedule(beta), clamped(la_start, la_end, beta)
+                assert struct.pack("d", got) == struct.pack("d", want), (la_start, la_end, beta)
 
     def test_samples_monotone(self):
         schedule = linear_la_schedule(0.85, 0.38)

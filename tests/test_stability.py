@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pivotgrasp.geometry import ConfigError, GraspConfig, ObjectSpec
+from pivotgrasp.geometry import ConfigError, GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
 from pivotgrasp.stability import (
     GridMap,
     beta_upper_bound,
@@ -183,6 +183,23 @@ class TestBetaUpperBound:
         # notch interior confirmed unstable, resumed region stable
         assert not is_stable(BUSHING, cfg_for(0.4, math.radians(60.0), math.radians(2.0)), SET_B)
         assert is_stable(BUSHING, cfg_for(0.4, math.radians(60.0), math.radians(8.0)), SET_B)
+
+    def test_coarse_steps_that_do_not_divide_90_degrees_scan_to_90(self):
+        # The transition lies past the last multiple of 0.7 and of 7 degrees
+        # below 90; the scan must still close its last bracket at 90.
+        obj, gripper = load_catalog()["mounting_rail"]
+        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+        friction = FrictionSet(0.515967917277174, 0.07253397588348384, 0.19961711121607745)
+        l_a, alpha = 0.8050390853082878, 1.113451427749811
+        assert not is_stable(obj, GraspConfig(l_a, alpha, math.pi / 2, delta), friction)
+        default = beta_upper_bound(obj, friction, l_a, alpha, delta=delta)
+        assert default.status == "finite" and math.degrees(default.value) == pytest.approx(89.771, abs=1e-3)
+        for step in (0.5, 2.0, 0.7, 7.0):
+            bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta, coarse_step_deg=step)
+            assert bound.status == "finite"
+            assert abs(bound.value - default.value) <= 1e-4 / 4
+            if step in (0.5, 2.0):  # steps that divide 90 degrees give the same bits
+                assert bound == default
 
 
 class TestMinAlpha:
