@@ -91,9 +91,11 @@ def plan_pivot(
     validate_config(cfg, obj)
     if n_waypoints < 2:
         raise ValueError("need at least two waypoints")
-    if theta <= 0 or theta > HALF_PI:
+    if not 0 < theta <= HALF_PI:
         raise ValueError("pivot angle must lie in (0, pi/2]")
     if beta_ub is not None:
+        if math.isnan(beta_ub):
+            raise ValueError("beta_ub must not be NaN")
         theta = min(theta, beta_ub - object_pose.phi)
         if theta <= 0:
             raise ValueError("object tilt already at or beyond the requested bound")
@@ -193,16 +195,17 @@ def simulate_grasp_trajectory(
     betas = np.array(beta_grid, dtype=float)
     if np.any(betas[1:] < betas[:-1]):
         raise ValueError("beta grid must be non-decreasing")
-    if not beta_grid:
+    if betas.size == 0:
         return GraspTrajectory(samples=())
 
-    las = [la_schedule(beta) for beta in beta_grid]
+    beta_list = betas.tolist()
+    las = [la_schedule(beta) for beta in beta_list]
     la_axis = np.array(las, dtype=float)
     if np.any(la_axis[1:] > la_axis[:-1] + 1e-12):
         raise ValueError("l_a schedule must be non-increasing in beta")
 
     stable = stable_cells(obj, friction, la_axis, alpha, betas, delta=delta)
-    return GraspTrajectory(samples=tuple(map(TrajectorySample, beta_grid, las, stable.tolist())))
+    return GraspTrajectory(samples=tuple(map(TrajectorySample, beta_list, las, stable.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
 many cells goes through the batched cone kernel (`lp.cone_membership`),
 which decides the cells clear of the cone boundary in one numpy pass while
 the simplex answers the rest one by one, so a grid gives exactly the
-answers of `is_stable` cell by cell. Grids go through `stable_cells`, and
-the coarse scan of `beta_upper_bound` through its kernel body. The bound's
-bisection decides each step by the scalar form of the kernel's score
-(`lp.cone_score`), so a step asks the simplex only where a batched cell
-would: within the band or at a NaN score.
+answers of `is_stable` cell by cell. Grids go through `stable_cells`.
+`beta_upper_bound` is one fixed procedure: a 1 degree coarse scan over
+[0, 90] degrees through the kernel body of `stable_cells`, then bisection
+of each bracket to 1e-4 rad. Each bisection step is decided by the scalar
+form of the kernel's score (`lp.cone_score`), so a step asks the simplex
+only where a batched cell would: within the band or at a NaN score.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -265,61 +266,59 @@ class BetaBound:
     first is the value.
     """
 
-    value: float | None
-    finite: bool
     status: str
     transitions: tuple[float, ...] = ()
 
+    @property
+    def value(self) -> float | None:
+        return self.transitions[0] if self.transitions else None
+
+    @property
+    def finite(self) -> bool:
+        return self.status == "finite"
+
+
+# The bound's fixed procedure: a 1 degree coarse grid that ends on exactly
+# pi/2, then bisection of each bracket until it is no wider than 1e-4 / 4 rad.
+_BOUND_BETAS = np.array(default_beta_grid(1.0))
+_BOUND_WIDTH = 1e-4 / 4
+
 
 def beta_upper_bound(
-    obj: ObjectSpec,
-    friction: FrictionSet,
-    l_a: float,
-    alpha: float,
-    *,
-    delta: float,
-    resolution: float = 1e-4,
-    coarse_step_deg: float = 1.0,
+    obj: ObjectSpec, friction: FrictionSet, l_a: float, alpha: float, *, delta: float
 ) -> BetaBound:
     """Largest tilt up to which force balance holds, for fixed (l_a, alpha).
 
-    Brackets feasibility transitions on a coarse degree grid, evaluated as
-    one batch and closed by 90 degrees when the step does not divide it,
-    then bisects each bracket until it is no wider than `resolution` / 4
-    radians; each transition is the midpoint of its final bracket. A
-    `resolution` that is not positive and finite raises ValueError before
-    any cell is decided, and an `l_a`, `alpha` or `delta` out of range
-    raises the ConfigError of the cell at beta = 0.
+    Brackets feasibility transitions on a 1 degree grid over [0, 90]
+    degrees, evaluated as one batch, then bisects each bracket until it is
+    no wider than 1e-4 / 4 radians; each transition is the midpoint of its
+    final bracket. An `l_a`, `alpha` or `delta` out of range raises the
+    ConfigError of the cell at beta = 0.
 
     Each bisection step is decided by the cone score of the cell's scalar
     basis (`lp.cone_score`) and goes to `is_stable` only when that score
     lies within `lp.CONE_BAND` of zero or is NaN, as a batched cell would.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    betas = default_beta_grid(coarse_step_deg)
-    if HALF_PI - betas[-1] > _GRID_TOL * math.radians(coarse_step_deg):
-        betas += (HALF_PI,)
     validate_config(GraspConfig(l_a=l_a, alpha=alpha, beta=0.0, delta=delta), obj)
-    betas = np.array(betas)
+    betas = _BOUND_BETAS
     axes = [np.asarray(l_a, dtype=float), np.asarray(alpha, dtype=float), betas]
     coarse_ok = _kernel_cells(obj, friction, axes, betas.shape, "force_balance", delta)
     if not coarse_ok[0]:
-        return BetaBound(value=None, finite=False, status="infeasible_at_start")
+        return BetaBound("infeasible_at_start")
 
     k = np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:])
     if k.size == 0:
-        return BetaBound(value=None, finite=False, status="not_finite")
+        return BetaBound("not_finite")
     transitions = []
     for lo, hi in zip(betas[k].tolist(), betas[k + 1].tolist()):
-        while hi - lo > resolution / 4:
+        while hi - lo > _BOUND_WIDTH:
             mid = 0.5 * (lo + hi)
             if _stable_by_score(obj, friction, l_a, alpha, mid, delta):
                 lo = mid
             else:
                 hi = mid
         transitions.append(0.5 * (lo + hi))
-    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=tuple(transitions))
+    return BetaBound("finite", tuple(transitions))
 
 
 def _stable_by_score(obj, friction, l_a, alpha, beta, delta) -> bool:
@@ -335,16 +334,10 @@ def _stable_by_score(obj, friction, l_a, alpha, beta, delta) -> bool:
 
 
 def min_alpha(
-    obj: ObjectSpec,
-    friction: FrictionSet,
-    l_a: float,
-    beta: float,
-    *,
-    delta: float,
-    step_deg: float = 0.5,
+    obj: ObjectSpec, friction: FrictionSet, l_a: float, beta: float, *, delta: float
 ) -> float | None:
-    """Smallest grid alpha with force balance feasible at (l_a, beta), or None."""
-    alphas = default_alpha_grid(step_deg)
+    """Smallest alpha of `default_alpha_grid()` with force balance feasible at (l_a, beta), or None."""
+    alphas = default_alpha_grid()
     hits = np.flatnonzero(stable_cells(obj, friction, l_a, np.array(alphas), beta, delta=delta))
     return alphas[hits[0]] if hits.size else None
 

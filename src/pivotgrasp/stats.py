@@ -7,6 +7,7 @@ physical grasp experiments (10 trials per object) and never leaves [0, 1].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -20,6 +21,9 @@ class TrialRecord:
     name: str = ""
 
     def __post_init__(self):
+        for field, value in (("successes", self.successes), ("trials", self.trials)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):  # numpy ints pass
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not 0 <= self.successes <= self.trials:

@@ -97,8 +97,6 @@ def test_beta_step_rounding_past_90_degrees_is_accepted(tmp_path, capsys):
     assert (code, err) == (0, "")
     meta = json.loads(next(tmp_path.glob("*.json")).read_text())
     assert meta["beta_grid"] == {"start_deg": 0.0, "stop_deg": 90.0, "count": 170}
-    bound = beta_upper_bound(BUSHING, SET_C, 0.9, 0.3, delta=7.2, coarse_step_deg=90 / 169)
-    assert bound.status in ("finite", "not_finite")
 
 
 def test_catalog_entry_without_gripper(tmp_path, capsys):
@@ -266,20 +264,6 @@ def test_every_command_rejects_la_with_one_message(tmp_path, capsys, command, la
     assert code == 2
     assert err == f"error: l_a {float(la)} outside (0, 1]\n"
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
-def test_beta_upper_bound_rejects_bad_resolution_before_any_cell(monkeypatch, resolution):
-    def no_cells(*args, **kwargs):
-        raise AssertionError("a cell was decided")
-
-    monkeypatch.setattr(stability, "stable_cells", no_cells)
-    monkeypatch.setattr(stability, "_kernel_cells", no_cells)
-    monkeypatch.setattr(stability.lp, "cone_score", no_cells)
-    monkeypatch.setattr(stability, "is_stable", no_cells)
-    with pytest.raises(ValueError, match="resolution"):
-        beta_upper_bound(BUSHING, FrictionSet(0.0, 0.0, 0.4), 0.9, math.radians(18.0),
-                         delta=7.2, resolution=resolution)
 
 
 # Out-of-range bound parameters and the ConfigError codes of the cell at

@@ -264,11 +264,11 @@ def test_min_alpha_matches_scan():
     for friction in SETS.values():
         for l_a, beta in ((0.5, 0.0), (0.9, 0.0), (0.7, 0.6)):
             scan = next(
-                (a for a in default_alpha_grid(2.0)
+                (a for a in default_alpha_grid()
                  if is_stable(BUSHING, cfg_for(BUSHING, DELTA, l_a, a, beta), friction)),
                 None,
             )
-            assert min_alpha(BUSHING, friction, l_a, beta, delta=DELTA, step_deg=2.0) == scan
+            assert min_alpha(BUSHING, friction, l_a, beta, delta=DELTA) == scan
 
 
 def _scalar_beta_bound(obj, friction, l_a, alpha, delta, resolution=1e-4):
@@ -296,16 +296,16 @@ def test_beta_upper_bound_matches_scalar_definition(l_a, alpha_deg):
     assert (bound.status, bound.transitions) == (status, transitions)
 
 
-def _loop_beta_bound(obj, friction, l_a, alpha, *, delta, resolution=1e-4, coarse_step_deg=1.0):
+def _loop_beta_bound(obj, friction, l_a, alpha, *, delta):
     """The bound with its bisection as a scalar loop, one `is_stable` call per step."""
-    coarse = degree_grid(0.0, 90.0, coarse_step_deg)
+    coarse = degree_grid(0.0, 90.0, 1.0)
     coarse_ok = stable_cells(obj, friction, l_a, alpha, np.array(coarse), delta=delta)
     if not coarse_ok[0]:
-        return BetaBound(value=None, finite=False, status="infeasible_at_start")
+        return BetaBound("infeasible_at_start")
     transitions = []
     for k in np.flatnonzero(coarse_ok[:-1] & ~coarse_ok[1:]):
         lo, hi = coarse[k], coarse[k + 1]
-        while hi - lo > resolution / 4:
+        while hi - lo > 1e-4 / 4:
             mid = 0.5 * (lo + hi)
             if is_stable(obj, cfg_for(obj, delta, l_a, alpha, mid), friction):
                 lo = mid
@@ -313,8 +313,8 @@ def _loop_beta_bound(obj, friction, l_a, alpha, *, delta, resolution=1e-4, coars
                 hi = mid
         transitions.append(0.5 * (lo + hi))
     if not transitions:
-        return BetaBound(value=None, finite=False, status="not_finite")
-    return BetaBound(value=transitions[0], finite=True, status="finite", transitions=tuple(transitions))
+        return BetaBound("not_finite")
+    return BetaBound("finite", tuple(transitions))
 
 
 # Bushing bounds of every kind: band cells near the bound (the first three,
@@ -329,19 +329,17 @@ BOUND_CASES = [
 def test_batched_bisection_matches_the_scalar_loop():
     rng = random.Random(606)
     catalog = list(load_catalog().values())
-    queries = [(BUSHING, DELTA, friction, l_a, math.radians(alpha_deg), {})
+    queries = [(BUSHING, DELTA, friction, l_a, math.radians(alpha_deg))
                for friction, l_a, alpha_deg in BOUND_CASES]
-    for n in range(1200):
+    for _ in range(1200):
         obj, gripper = rng.choice(catalog)
         delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
         friction = FrictionSet(*(rng.uniform(0.0, 0.6) for _ in range(3)))
-        # every fifth query off the default resolution and coarse step
-        grid = {} if n % 5 else {"resolution": rng.choice((1e-3, 3e-5)), "coarse_step_deg": rng.choice((0.5, 2.0, 3.0))}
-        queries.append((obj, delta, friction, rng.uniform(0.05, 1.0), math.radians(rng.uniform(0.5, 89.5)), grid))
+        queries.append((obj, delta, friction, rng.uniform(0.05, 1.0), math.radians(rng.uniform(0.5, 89.5))))
     kinds = {}
-    for obj, delta, friction, l_a, alpha, grid in queries:
-        bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta, **grid)
-        assert bound == _loop_beta_bound(obj, friction, l_a, alpha, delta=delta, **grid)
+    for obj, delta, friction, l_a, alpha in queries:
+        bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta)
+        assert bound == _loop_beta_bound(obj, friction, l_a, alpha, delta=delta)
         kind = f"{bound.status}{len(bound.transitions) or ''}"
         kinds[kind] = kinds.get(kind, 0) + 1
     print(f"batched bisection: {len(queries)} bounds equal to the scalar loop's: {sorted(kinds.items())}")

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from pivotgrasp.geometry import ObjectSpec, config_from_delta, grasp_config, load_catalog
@@ -97,6 +98,13 @@ class TestPlanPivot:
             with pytest.raises(ValueError, match="already at or beyond"):
                 plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2, 4, beta_ub=beta_ub)
 
+    def test_rejects_a_nan_angle_or_bound(self):
+        with pytest.raises(ValueError, match="pivot angle"):
+            plan_pivot(BUSHING, cfg_for(), LYING, math.nan, 4)
+        # min(theta, nan) is theta: unchecked, a NaN bound would plan the full arc
+        with pytest.raises(ValueError, match="beta_ub"):
+            plan_pivot(BUSHING, cfg_for(), LYING, math.pi / 2, 4, beta_ub=math.nan)
+
     def test_pose_rejects_a_nan_component(self):
         with pytest.raises(ValueError, match="finite"):
             GripperPose(x=34.0, y=math.nan, phi=0.0)
@@ -184,6 +192,14 @@ class TestSimulateGraspTrajectory:
             BUSHING, SET_C, 0.3, constant_la_schedule(0.5), (), delta=DELTA
         )
         assert traj.samples == ()
+
+    def test_numpy_grid_gives_the_tuple_samples(self):
+        schedule = linear_la_schedule(0.9, 0.65)
+        for grid in ((0.0,), (0.0, 0.1)):
+            want = simulate_grasp_trajectory(BUSHING, SET_C, 0.3, schedule, grid, delta=DELTA)
+            got = simulate_grasp_trajectory(BUSHING, SET_C, 0.3, schedule, np.array(grid), delta=DELTA)
+            assert len(want.samples) == len(grid) and got == want
+            assert all(type(s.beta) is float for s in got.samples)
 
     def test_monotonicity_enforced(self):
         grid = degree_grid(0.0, 90.0, 10.0)

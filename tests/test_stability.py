@@ -185,35 +185,29 @@ class TestBetaUpperBound:
         assert is_stable(BUSHING, cfg_for(0.4, math.radians(60.0), math.radians(8.0)), SET_B)
 
     def test_coarse_steps_that_do_not_divide_90_degrees_scan_to_90(self):
-        # The transition lies past the last multiple of 0.7 and of 7 degrees
-        # below 90; the scan must still close its last bracket at 90.
+        # The transition lies in the last degree below 90; the scan must
+        # close its last bracket at 90.
         obj, gripper = load_catalog()["mounting_rail"]
         delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
         friction = FrictionSet(0.515967917277174, 0.07253397588348384, 0.19961711121607745)
         l_a, alpha = 0.8050390853082878, 1.113451427749811
         assert not is_stable(obj, GraspConfig(l_a, alpha, math.pi / 2, delta), friction)
-        default = beta_upper_bound(obj, friction, l_a, alpha, delta=delta)
-        assert default.status == "finite" and math.degrees(default.value) == pytest.approx(89.771, abs=1e-3)
-        for step in (0.5, 2.0, 0.7, 7.0):
-            bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta, coarse_step_deg=step)
-            assert bound.status == "finite"
-            assert abs(bound.value - default.value) <= 1e-4 / 4
-            if step in (0.5, 2.0):  # steps that divide 90 degrees give the same bits
-                assert bound == default
+        bound = beta_upper_bound(obj, friction, l_a, alpha, delta=delta)
+        assert bound.status == "finite" and math.degrees(bound.value) == pytest.approx(89.771, abs=1e-3)
 
 
 class TestMinAlpha:
     def test_matches_direct_scan(self):
-        got = min_alpha(BUSHING, SET_B, 0.5, 0.0, delta=DELTA, step_deg=1.0)
+        got = min_alpha(BUSHING, SET_B, 0.5, 0.0, delta=DELTA)
         scan = next(
-            a for a in degree_grid(1.0, 89.0, 1.0)
+            a for a in default_alpha_grid()
             if is_stable(BUSHING, cfg_for(0.5, a, 0.0), SET_B)
         )
         assert got == scan
 
     def test_non_increasing_in_la(self):
         values = [
-            min_alpha(BUSHING, SET_B, la, 0.0, delta=DELTA, step_deg=1.0)
+            min_alpha(BUSHING, SET_B, la, 0.0, delta=DELTA)
             for la in (0.5, 0.6, 0.7, 0.8, 0.9)
         ]
         assert all(v is not None for v in values)
@@ -221,7 +215,7 @@ class TestMinAlpha:
 
     def test_frictionless_flat_none(self):
         for la in (0.3, 0.6, 0.9):
-            assert min_alpha(BUSHING, FRICTIONLESS, la, 0.0, delta=DELTA, step_deg=2.0) is None
+            assert min_alpha(BUSHING, FRICTIONLESS, la, 0.0, delta=DELTA) is None
 
 
 class TestSerialization:

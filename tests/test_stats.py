@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pivotgrasp.stats import TrialRecord, batch_ci, wilson_ci
@@ -87,6 +88,15 @@ class TestWilsonCi:
             TrialRecord(-1, 10)
         with pytest.raises(ValueError):
             TrialRecord(5, 10, z=0.0)
+
+    def test_counts_must_be_integers(self):
+        # 9.5 successes would construct, and infinite trials would give [0, 0]
+        for successes, trials, field in (
+            (9.5, 10, "successes"), (5, math.inf, "trials"), (5, 10.0, "trials"), (True, 10, "successes"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                TrialRecord(successes, trials)
+        assert wilson_ci(TrialRecord(np.int64(9), np.int32(10))) == wilson_ci(TrialRecord(9, 10))
 
 
 class TestBatchCi:

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pivotgrasp
 from pivotgrasp.cli import main
@@ -60,6 +62,7 @@ FIELDS = {
     pivotgrasp.GraspConfig: ["l_a", "alpha", "beta", "delta"],
     pivotgrasp.GripperSpec: ["w"],
     pivotgrasp.GraspTrajectory: ["samples"],
+    pivotgrasp.BetaBound: ["status", "transitions"],
 }
 PARAMETERS = {
     pivotgrasp.solve_force_balance: ["basis", "ext"],
@@ -67,6 +70,8 @@ PARAMETERS = {
     pivotgrasp.oracle_force_balance: ["basis", "ext"],
     pivotgrasp.linear_la_schedule: ["la_start", "la_end"],
     pivotgrasp.align_phase: ["obj", "cfg", "n_waypoints"],
+    pivotgrasp.beta_upper_bound: ["obj", "friction", "l_a", "alpha", "delta"],
+    pivotgrasp.min_alpha: ["obj", "friction", "l_a", "beta", "delta"],
 }
 
 
@@ -84,3 +89,14 @@ def test_catalog_ignores_a_gripper_stroke(tmp_path):
     with_stroke.write_text(json.dumps(docs))
     assert pivotgrasp.load_catalog(with_stroke) == pivotgrasp.load_catalog(plain)
     assert pivotgrasp.load_catalog(plain)["ring"][1] == pivotgrasp.GripperSpec(w=10.0)
+
+
+def test_readme_library_block_runs():
+    # The docs' example calls the library as a reader would copy it, so it
+    # cannot name a keyword or field the library no longer has.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["bound"].finite and namespace["rmap"].feasible_cells() > 0
