@@ -14,7 +14,6 @@ import json
 import math
 import shutil
 import sys
-from collections.abc import Collection
 from pathlib import Path
 
 from .geometry import (
@@ -175,13 +174,19 @@ def cmd_region(args) -> int:
     if not alpha_grid:
         raise CliValidationError(f"--alpha-step {args.alpha_step} leaves no alpha inside (0, 90) deg")
 
+    stems = {}
+    for la in la_values:
+        stem = f"region_{obj.name}_{mode}_la{la:g}"
+        if stem in stems:
+            raise CliValidationError(f"--la values {stems[stem]} and {la} both name {stem}.csv")
+        stems[stem] = la
+
     out_dir = Path(args.out_dir)
     outputs = []
-    for la in la_values:
+    for stem, la in stems.items():
         rmap = region_sweep(
             obj, friction, la, alpha_grid, beta_grid, mode, delta=delta, workers=args.parallel
         )
-        stem = f"region_{obj.name}_{mode}_la{la:g}"
         outputs.append((out_dir / f"{stem}.csv", region_map_csv(rmap)))
         outputs.append((out_dir / f"{stem}.json", json.dumps(region_map_meta(rmap, obj), indent=2) + "\n"))
     _write_all(outputs)
@@ -354,7 +359,7 @@ def _region_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha-step", type=float, default=0.5, help="alpha grid step (degrees)")
     p.add_argument("--beta-step", type=float, default=0.5, help="beta grid step (degrees)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", type=int, default=1, help="sweep worker count")
+    p.add_argument("--parallel", type=int, default=1, help="accepted; starts no processes")
     p.set_defaults(func=cmd_region)
 
 
@@ -391,7 +396,7 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-step", type=float, default=0.5)
     p.add_argument("--la-step", type=float, default=0.02, help="l_a grid step for the overlay map")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1, help="accepted; starts no processes")
     p.set_defaults(func=cmd_simulate)
 
 
@@ -425,15 +430,8 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands: Collection[str] | None = None) -> argparse.ArgumentParser:
-    """The CLI's argument parser.
-
-    Every subcommand is listed, so usage, help and errors read the same
-    whatever `commands` holds, but only the subcommands named in `commands`
-    (all when it is None) get their arguments. Argparse hands the rest of a
-    command line to the subcommand named by one of its words, so `main`
-    passes those words and builds only the subcommand that runs.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new argument parser for the CLI."""
     # argparse asks for the terminal width at every argument it adds;
     # one width for the whole parser gives the same help text.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -444,16 +442,17 @@ def build_parser(commands: Collection[str] | None = None) -> argparse.ArgumentPa
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line, formatter_class=formatter)
-        if commands is None or name in commands:
-            add_args(p)
+        add_args(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 
+# Parsing leaves a parser unchanged, so every `main` call in a process can
+# share one; its help width is the terminal's when the first call ran.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(set(argv)).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as e:  # CliValidationError, ConfigError and GeometryError too

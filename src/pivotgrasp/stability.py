@@ -187,7 +187,7 @@ GraspPlaneMap = GridMap
 
 def _check_axis(name: str, axis, inside) -> None:
     """Reject an empty or non-increasing axis, or one with a value (NaN included) not `inside`."""
-    if not axis:
+    if len(axis) == 0:
         raise ValueError(f"{name} axis is empty")
     for v in axis:
         if not inside(v):

@@ -1,5 +1,6 @@
 """CLI surface tests: parsing, exit codes, file artifacts, idempotence."""
 
+import argparse
 import json
 import math
 
@@ -93,6 +94,18 @@ class TestRegion:
             "region_bushing_force_balance_la0.9.csv",
             "region_bushing_force_balance_la0.9.json",
         ]
+
+    def test_la_values_that_share_a_file_name_exit_2_without_files(self, tmp_path, capsys):
+        for la, other in (("0.7", "0.7000001"), ("0.7", "0.7")):
+            code = main([
+                "region", "--object", "bushing", "--mu", "0,0,0", "--la", f"0.5,{la},{other}",
+                "--alpha-step", "30", "--beta-step", "30", "--out-dir", str(tmp_path),
+            ])
+            assert code == 2
+            assert list(tmp_path.iterdir()) == []
+            assert capsys.readouterr().err == (
+                f"error: --la values {la} and {other} both name region_bushing_force_balance_la0.7.csv\n"
+            )
 
     def test_idempotent_and_parallel_independent(self, tmp_path):
         args = [
@@ -323,22 +336,34 @@ class TestParser:
     ]
 
     @staticmethod
-    def outcome(parser, argv, capsys):
+    def outcome(parse, argv, capsys):
         with pytest.raises(SystemExit) as stop:
-            parser.parse_args(argv)
+            parse(argv)
         return stop.value.code, capsys.readouterr()
 
-    def test_parser_of_the_named_commands_reads_like_the_full_one(self, capsys):
-        for argv in self.LINES:
-            full = self.outcome(build_parser(), argv, capsys)
-            assert self.outcome(build_parser(set(argv)), argv, capsys) == full, argv
-            assert full[1].out or full[1].err
+    def test_main_reads_like_a_new_parser_before_and_after_other_calls(self, tmp_path, capsys):
+        for _ in range(2):
+            for argv in self.LINES:
+                new = self.outcome(build_parser().parse_args, argv, capsys)
+                assert self.outcome(main, argv, capsys) == new, argv
+                assert new[1].out or new[1].err
+            assert main(["ci", "9/10"]) == 0
+            assert main(["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9",
+                         "--alpha", "18deg", "--out", str(tmp_path / "bound.json")]) == 0
+            capsys.readouterr()
 
-    def test_only_the_named_commands_get_arguments(self, capsys):
-        argv = ["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9", "--alpha", "18deg"]
-        assert build_parser(set(argv)).parse_args(argv) == build_parser().parse_args(argv)
-        code, out = self.outcome(build_parser({"ci"}), argv, capsys)
-        assert code == 2 and "unrecognized arguments: --object" in out.err
+    def test_three_calls_share_one_parser(self, monkeypatch, capsys):
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording_parse_args(self, *args, **kwargs):
+            used.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+        for _ in range(3):
+            assert main(["ci", "9/10"]) == 0
+        assert len(used) == 3 and used[0] is used[1] is used[2]
 
 
 class TestReuse:
@@ -387,6 +412,10 @@ class TestReuse:
         mutated.clear()
         mutated["bushing"] = load_catalog(catalog)["tube"]
         other = self.run_script(self.SCRIPT_B, tmp_path / "b", cat=catalog)
+        with pytest.raises(SystemExit) as stop:
+            main(["ci", "--bad"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --bad" in capsys.readouterr().err
         again = self.run_script(self.SCRIPT_A, tmp_path / "a2")
         assert len(first) == 9 and again == first
         assert other.keys() == {"region_tube_form_closure_la0.6.csv", "region_tube_form_closure_la0.6.json",

@@ -1,5 +1,6 @@
 """Stable-region sweep and tilt-bound tests (coarse grids for speed)."""
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pivotgrasp.stability import (
     default_beta_grid,
     degree_grid,
     grasp_plane_csv,
+    grasp_plane_meta,
     grasp_plane_sweep,
     is_stable,
     min_alpha,
@@ -243,3 +245,16 @@ class TestSerialization:
         lines = grasp_plane_csv(gmap).strip().split("\n")
         assert lines[0] == "l_a/beta_deg,0,2,4"
         assert lines[1].startswith("0.65,") and lines[2].startswith("0.9,")
+
+    def test_numpy_axes_write_the_same_text_as_tuples(self):
+        alphas, betas, las = default_alpha_grid(10.0), default_beta_grid(10.0), (0.5, 0.7, 0.9)
+
+        def texts(alphas, betas, las):
+            rmap = region_sweep(BUSHING, SET_C, 0.7, alphas, betas, delta=DELTA)
+            gmap = grasp_plane_sweep(BUSHING, SET_C, math.pi / 10, las, betas, delta=DELTA)
+            return (region_map_csv(rmap), json.dumps(region_map_meta(rmap, BUSHING)),
+                    grasp_plane_csv(gmap), json.dumps(grasp_plane_meta(gmap, BUSHING)))
+
+        assert texts(np.array(alphas), np.array(betas), np.array(las)) == texts(alphas, betas, las)
+        with pytest.raises(ValueError, match="alpha axis is empty"):
+            region_sweep(BUSHING, SET_C, 0.7, np.array([]), np.array(betas), delta=DELTA)
