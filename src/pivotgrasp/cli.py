@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -432,22 +431,18 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """A new argument parser for the CLI."""
-    # argparse asks for the terminal width at every argument it adds;
-    # one width for the whole parser gives the same help text.
-    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="pivotgrasp",
         description="Stability analysis and trajectory generation for pivot-based hole grasps",
-        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_line, formatter_class=formatter))
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 # Parsing leaves a parser unchanged, so every `main` call in a process can
-# share one; its help width is the terminal's when the first call ran.
+# share one.
 _parser = functools.cache(build_parser)
 
 

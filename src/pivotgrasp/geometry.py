@@ -35,8 +35,9 @@ class ObjectSpec:
     """Rigid hollow object: half-length a, half-height b, outer/inner diameters.
 
     ``mass`` is a dimensionless surrogate; gravity is normalised so the
-    external wrench magnitude equals ``mass``. Stability is decided against
-    the direction of gravity alone, so no answer depends on the mass.
+    external wrench magnitude equals ``mass``. No answer depends on it:
+    stability is decided against the direction of gravity alone, and the
+    force-balance LP and oracle solve for the wrench scaled to unit size.
     """
 
     name: str

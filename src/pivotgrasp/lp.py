@@ -1,4 +1,4 @@
-"""Cone-membership tests for grasp feasibility: a batched kernel and a dense LP core.
+"""Cone-membership tests for grasp feasibility: a batched score kernel and a dense LP core.
 
 Two fixed-shape problems are posed over the six basis contact wrenches:
 
@@ -6,16 +6,16 @@ Two fixed-shape problems are posed over the six basis contact wrenches:
 * form closure:  min sum(k) s.t. sum(k_i F_i) = 0, k_i >= 1
 
 Both ask whether a target (-ext, or -sum(F_i) after the shift k = 1 + u) lies
-in the cone of the six columns. For many cells at once that question is
-decided by `cone_membership`, a numpy kernel over the 20 column triples
-(Caratheodory's theorem for cones). The kernel leaves cells within
-`CONE_BAND` of the cone boundary undecided; those, single cells and every
-certificate go to the two-phase dense simplex with Bland's rule (no cycling)
-on the 3-equality-row LP, which returns the minimising coefficients.
-`cone_score` is the kernel's score for one cell in Python floats, equal to
-the kernel's, for callers that decide cells one at a time. Both
-LPs reach it through one wrapper (`_solve_shifted`) that differs between
-them only in the external wrench and the lower bound. An
+in the cone of the six columns. This module computes; `stability` decides.
+`cone_scores` scores many cells at once with a numpy kernel over the 20
+column triples (Caratheodory's theorem for cones), and `cone_score` gives the
+same score for one cell in Python floats. The two-phase dense simplex with
+Bland's rule (no cycling) on the 3-equality-row LP answers one cell with its
+minimising coefficients; `stability` asks it in `is_stable` and for cells
+whose score lies within `CONE_BAND` of zero or is NaN, and decides every
+other cell by the sign of its score. Both LPs reach the simplex through one
+wrapper (`_solve_shifted`) that differs between them only in the external
+wrench and the lower bound. An
 independent basic-solution enumeration oracle (`oracle_force_balance`)
 cross-checks the simplex and must never be merged with it.
 """
@@ -179,9 +179,19 @@ def solve_force_balance(basis: WrenchBasis, ext: Wrench) -> LpOutcome:
     """Can nonnegative combinations of the basis wrenches cancel ext?
 
     Feasible iff -ext lies in the cone of the six columns; the returned
-    coefficients minimise their sum.
+    coefficients minimise their sum. The simplex solves for ext divided by
+    its largest absolute component, so its absolute tolerances do not make
+    the answer depend on the size of ext; the coefficients, objective and
+    residual are scaled back. Dividing by 1.0 (a unit or zero ext) is exact.
     """
-    return _solve_shifted(basis.columns(), ext.as_tuple(), 0.0)
+    e = ext.as_tuple()
+    scale = max(map(abs, e)) or 1.0
+    out = _solve_shifted(basis.columns(), tuple(v / scale for v in e), 0.0)
+    if not out.feasible:
+        return out
+    return LpOutcome(
+        True, tuple(k * scale for k in out.coefficients), out.objective * scale, out.residual * scale
+    )
 
 
 def solve_form_closure(basis: WrenchBasis) -> LpOutcome:
@@ -208,7 +218,8 @@ _CRAMER = np.concatenate([_TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK])
 # the band.
 _SINGULAR_DET = 1e-9
 # Scores within +-CONE_BAND of zero are too close to the boundary for the
-# kernel to overrule the simplex's own tolerances.
+# kernel to overrule the simplex's own tolerances; `stability` sends those
+# cells to the simplex.
 CONE_BAND = 1e-6
 # Cells per kernel pass. A pass works in _ROWS floats per cell, about 1 MiB
 # at 512 cells, so it stays in cache: on a 2-core x86 box a default
@@ -370,17 +381,6 @@ def cone_score(gens, target, length: float) -> float:
     return math.nan if best == -math.inf else best
 
 
-def cone_membership(gens: np.ndarray, targets: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, undecided) boolean arrays from `cone_scores`.
-
-    Cells whose score lies within CONE_BAND of zero, or is NaN, are
-    undecided: the caller answers them with the simplex.
-    """
-    score = cone_scores(gens, targets, length)
-    inside = score > CONE_BAND
-    return inside, ~(inside | (score < -CONE_BAND))
-
-
 def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
     """Brute-force cone membership check, independent of the simplex.
 
@@ -390,8 +390,11 @@ def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
     Caratheodory's theorem for cones this enumeration is exhaustive.
     """
     b = -np.array(ext.as_tuple())
-    if float(np.max(np.abs(b))) <= RESIDUAL_TOL:
+    # Tolerances are absolute, so the target is solved at unit size.
+    scale = float(np.max(np.abs(b)))
+    if scale == 0.0:
         return True
+    b /= scale
     cols = np.array(basis.columns()).T  # 3 x 6
     for size in (3, 2, 1):
         for subset in combinations(range(6), size):

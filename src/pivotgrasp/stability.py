@@ -6,16 +6,16 @@ feasible: `force_balance` asks whether the contacts can cancel gravity,
 plane of configurations; `beta_upper_bound` locates the tilt at which force
 balance is first lost.
 
-One cell (`is_stable`) is decided by the dense simplex. Every evaluation of
-many cells goes through the batched cone kernel (`lp.cone_membership`),
-which decides the cells clear of the cone boundary in one numpy pass while
-the simplex answers the rest one by one, so a grid gives exactly the
-answers of `is_stable` cell by cell. Grids go through `stable_cells`.
-`beta_upper_bound` is one fixed procedure: a 1 degree coarse scan over
-[0, 90] degrees through the kernel body of `stable_cells`, then bisection
-of each bracket to 1e-4 rad. Each bisection step is decided by the scalar
-form of the kernel's score (`lp.cone_score`), so a step asks the simplex
-only where a batched cell would: within the band or at a NaN score.
+This module decides; `lp` only computes. One cell (`is_stable`) is decided
+by the dense simplex. Every other decision reads the cell's cone score
+(`lp.cone_scores` for many cells in one numpy pass, `lp.cone_score` for
+one) and applies one band rule: a score farther than `lp.CONE_BAND` from
+zero is decided by its sign, and every other cell, NaN scores included,
+goes to `is_stable`. So a grid gives exactly the answers of `is_stable`
+cell by cell. Grids go through `stable_cells`. `beta_upper_bound` is one
+fixed procedure: a 1 degree coarse scan over [0, 90] degrees through the
+kernel body of `stable_cells`, then bisection of each bracket to 1e-4 rad,
+each step decided by the scalar score under the same rule.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import lp
 from .geometry import HALF_PI, GraspConfig, ObjectSpec, validate_config
-from .lp import cone_membership, solve_force_balance, solve_form_closure
+from .lp import solve_force_balance, solve_form_closure
 from .wrenches import FrictionSet, Wrench, _edge_wrenches, contact_wrench_basis, wrench_basis_grid
 
 MODES = ("force_balance", "form_closure")
@@ -109,8 +109,8 @@ def stable_cells(
     Returns a boolean array of the broadcast shape. The first cell that
     breaks a range constraint, in C order, runs through `is_stable` and
     raises its ConfigError, as a cell-by-cell loop would; when every cell is
-    in range that scalar run answers the first cell. The kernel decides the
-    others, and cells it leaves undecided go to `is_stable` one at a time.
+    in range that scalar run answers the first cell. The others are decided
+    by their kernel scores, or by `is_stable` within the band.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -140,17 +140,19 @@ def _cell(axes, shape, i: int) -> tuple[float, float, float]:
 def _kernel_cells(obj, friction, axes, shape, mode, delta) -> np.ndarray:
     """Flat C-order stability of the cells of in-range broadcast axes.
 
-    The kernel decides every cell clear of the cone boundary and `is_stable`
-    the rest. The axes go in un-broadcast: trig runs once per axis value,
-    not once per cell.
+    A cell whose kernel score lies farther than `lp.CONE_BAND` from zero is
+    decided by its sign; `is_stable` decides the rest, NaN scores included.
+    The axes go in un-broadcast: trig runs once per axis value, not once
+    per cell.
     """
     gens = wrench_basis_grid(obj, friction, *axes, delta)
     if mode == "force_balance":
         targets = np.broadcast_to(_FORCE_BALANCE_TARGET, (len(gens), 3))
     else:
         targets = -gens.sum(axis=1)
-    stable, undecided = cone_membership(gens, targets, obj.a)
-    for i in np.flatnonzero(undecided).tolist():
+    score = lp.cone_scores(gens, targets, obj.a)
+    stable = score > 0
+    for i in np.flatnonzero(~(np.abs(score) > lp.CONE_BAND)).tolist():
         stable[i] = _stable_at(obj, friction, *_cell(axes, shape, i), mode, delta)
     return stable
 
@@ -323,12 +325,9 @@ def beta_upper_bound(
 
 def _stable_by_score(obj, friction, l_a, alpha, beta, delta) -> bool:
     """Force balance at one in-range cell: its cone score, or `is_stable` inside the band."""
-    edges = _edge_wrenches(
-        math.sin, math.cos, obj.a, obj.b, 2.0 * obj.a * l_a, delta,
-        alpha, beta, friction.gamma_s, friction.gamma_h, friction.gamma_g,
-    )
+    edges = _edge_wrenches(math.sin, math.cos, obj, friction, l_a, alpha, beta, delta)
     score = lp.cone_score(edges, _FORCE_BALANCE_TARGET, obj.a)
-    if abs(score) > lp.CONE_BAND:  # read at call time, as `cone_membership` does
+    if abs(score) > lp.CONE_BAND:  # the band rule of `_kernel_cells`
         return score > 0
     return _stable_at(obj, friction, l_a, alpha, beta, "force_balance", delta)
 

@@ -86,12 +86,16 @@ class WrenchBasis:
         return self.wrenches[i]
 
 
-def _edge_wrenches(sin, cos, a, b, l, delta, alpha, beta, gs, gh, gg):
+def _edge_wrenches(sin, cos, obj: ObjectSpec, fr: FrictionSet, l_a, alpha, beta, delta):
     """(m, fx, fy) of the six cone edges in label order.
 
-    Written once for both callers: `contact_wrench_basis` passes `math`
-    trig and floats, `wrench_basis_grid` numpy trig and broadcast arrays.
+    Written once for every caller: `contact_wrench_basis` and the tilt-bound
+    bisection pass `math` trig and floats, `wrench_basis_grid` numpy trig
+    and broadcast arrays. It derives l = 2a*l_a and the friction half-angles
+    itself, so no caller restates them.
     """
+    a, b, l = obj.a, obj.b, 2.0 * obj.a * l_a
+    gs, gh, gg = fr.gamma_s, fr.gamma_h, fr.gamma_g
     return (
         ((l - a) * cos(gs) - b * sin(gs), sin(beta + gs), -cos(beta + gs)),
         ((l - a) * cos(gs) + b * sin(gs), sin(beta - gs), -cos(beta - gs)),
@@ -120,10 +124,7 @@ def contact_wrench_basis(obj: ObjectSpec, cfg: GraspConfig, fr: FrictionSet) -> 
     corner; its force edges are fixed in the world while the arm rotates
     with beta.
     """
-    edges = _edge_wrenches(
-        math.sin, math.cos, obj.a, obj.b, 2.0 * obj.a * cfg.l_a, cfg.delta,
-        cfg.alpha, cfg.beta, fr.gamma_s, fr.gamma_h, fr.gamma_g,
-    )
+    edges = _edge_wrenches(math.sin, math.cos, obj, fr, cfg.l_a, cfg.alpha, cfg.beta, cfg.delta)
     return WrenchBasis(tuple(Wrench(*e) for e in edges))
 
 
@@ -135,10 +136,7 @@ def wrench_basis_grid(obj: ObjectSpec, fr: FrictionSet, l_a, alpha, beta, delta:
     """
     l_a, alpha, beta = (np.asarray(v, dtype=float) for v in (l_a, alpha, beta))
     shape = np.broadcast_shapes(l_a.shape, alpha.shape, beta.shape)
-    edges = _edge_wrenches(
-        np.sin, np.cos, obj.a, obj.b, 2.0 * obj.a * l_a, delta,
-        alpha, beta, fr.gamma_s, fr.gamma_h, fr.gamma_g,
-    )
+    edges = _edge_wrenches(np.sin, np.cos, obj, fr, l_a, alpha, beta, delta)
     out = np.empty((*shape, 6, 3))
     for i, edge in enumerate(edges):
         for k, value in enumerate(edge):

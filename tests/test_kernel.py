@@ -16,7 +16,7 @@ import pytest
 
 from pivotgrasp import lp, stability
 from pivotgrasp.geometry import GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
-from pivotgrasp.lp import cone_membership, cone_scores, solve_force_balance
+from pivotgrasp.lp import cone_scores, solve_force_balance
 from pivotgrasp.maneuver import linear_la_schedule, simulate_grasp_trajectory
 from pivotgrasp.stability import (
     DEFAULT_LA_FAMILY,
@@ -60,9 +60,14 @@ def targets_for(gens, mode):
 
 
 def kernel_disagreements(obj, gens, mode, expected):
-    """(disagreements, band cells) of the raw kernel against `expected`."""
-    inside, undecided = cone_membership(gens, targets_for(gens, mode), obj.a)
-    return int(np.sum((inside != np.asarray(expected)) & ~undecided)), int(undecided.sum())
+    """(disagreements, band cells) of the raw kernel scores against `expected`.
+
+    A score farther than `lp.CONE_BAND` from zero decides by its sign; the
+    others (NaN included) are band cells.
+    """
+    score = cone_scores(gens, targets_for(gens, mode), obj.a)
+    decided = np.abs(score) > lp.CONE_BAND
+    return int(np.sum(((score > 0) != np.asarray(expected)) & decided)), int(np.sum(~decided))
 
 
 def test_kernel_matches_simplex_on_criterion_3_family():
@@ -170,8 +175,27 @@ def test_scores_on_known_cones():
     assert score[3] == pytest.approx(0.0)  # on an edge: left to the simplex
     flat = np.array([[[1.0, 0, 0], [0, 1.0, 0], [1.0, 1, 0]] * 2])
     assert math.isnan(cone_scores(flat, np.array([[1.0, 1, 0]]), 1.0)[0])
-    inside, undecided = cone_membership(flat, np.array([[1.0, 1, 0]]), 1.0)
-    assert undecided[0] and not inside[0]
+
+
+def test_nan_scores_go_to_the_simplex(monkeypatch):
+    # A NaN score has no sign to decide by: every cell must reach `_stable_at`.
+    alphas, betas = degree_grid(5.0, 85.0, 20.0), degree_grid(0.0, 90.0, 15.0)
+    stable_at, asked = stability._stable_at, set()
+
+    def recorded(obj, friction, l_a, alpha, beta, mode, delta):
+        asked.add((alpha, beta, mode))
+        return stable_at(obj, friction, l_a, alpha, beta, mode, delta)
+
+    monkeypatch.setattr(lp, "cone_scores", lambda gens, targets, length: np.full(len(gens), np.nan))
+    monkeypatch.setattr(stability, "_stable_at", recorded)
+    for mode in MODES:
+        rmap = region_sweep(BUSHING, SETS["C"], 0.7, alphas, betas, mode, delta=DELTA)
+        assert asked >= {(a, b, mode) for a in alphas for b in betas}
+        scalar = [
+            [is_stable(BUSHING, cfg_for(BUSHING, DELTA, 0.7, a, b), SETS["C"], mode) for b in betas]
+            for a in alphas
+        ]
+        assert rmap.feasible.tolist() == scalar and rmap.feasible.any()
 
 
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 3 * 512 + 7])

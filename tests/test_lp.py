@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pivotgrasp.wrenches import (
     contact_wrench_basis,
     gravity_wrench,
 )
+from pivotgrasp.stability import default_alpha_grid, default_beta_grid
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
 GRAVITY = gravity_wrench(BUSHING)
@@ -117,6 +119,21 @@ class TestForceBalance:
                     assert scaled.objective == pytest.approx(c * base.objective, rel=1e-9)
                     for ks, kb in zip(scaled.coefficients, base.coefficients):
                         assert ks == pytest.approx(c * kb, rel=1e-9, abs=1e-12)
+
+
+    def test_answers_do_not_depend_on_the_mass(self):
+        # The baseline grid: frictionless, l_a 0.7, 2 degree grids, 2,024 cells.
+        # Both deciders once flipped cells at small masses, the oracle also at large ones.
+        alphas, betas = default_alpha_grid(2.0), default_beta_grid(2.0)
+        bases = [
+            contact_wrench_basis(BUSHING, cfg_for(0.7, a, b, delta=7.202), FRICTIONLESS)
+            for a in alphas for b in betas
+        ]
+        assert len(bases) == 2024
+        for mass in (1e-12, 1e-7, 1e-6, 1.0, 1e7, 1e12):
+            weight = gravity_wrench(replace(BUSHING, mass=mass))
+            assert sum(solve_force_balance(basis, weight).feasible for basis in bases) == 1030, mass
+            assert sum(oracle_force_balance(basis, weight) for basis in bases) == 1030, mass
 
 
 class TestOracle:

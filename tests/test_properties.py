@@ -1,0 +1,34 @@
+"""Property tests over random catalog cells; skipped where hypothesis is not installed."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from pivotgrasp.geometry import GraspConfig, hole_contact_depth, hole_contact_offset, load_catalog  # noqa: E402
+from pivotgrasp.lp import oracle_force_balance, solve_force_balance  # noqa: E402
+from pivotgrasp.wrenches import FrictionSet, contact_wrench_basis, gravity_wrench  # noqa: E402
+
+CATALOG = load_catalog()
+MU = st.floats(0.0, 0.6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CATALOG)),
+    l_a=st.floats(0.01, 1.0),
+    alpha=st.floats(0.005, math.pi / 2 - 0.005),
+    beta=st.floats(0.0, math.pi / 2),
+    mu=st.tuples(MU, MU, MU),
+    log_mass=st.floats(-12.0, 12.0),
+)
+def test_force_balance_does_not_depend_on_the_mass(name, l_a, alpha, beta, mu, log_mass):
+    obj, gripper = CATALOG[name]
+    delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+    basis = contact_wrench_basis(obj, GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta), FrictionSet(*mu))
+    unit, weight = (gravity_wrench(replace(obj, mass=m)) for m in (1.0, 10.0 ** log_mass))
+    assert solve_force_balance(basis, weight).feasible == solve_force_balance(basis, unit).feasible
+    assert oracle_force_balance(basis, weight) == oracle_force_balance(basis, unit)
