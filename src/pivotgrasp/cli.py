@@ -1,16 +1,16 @@
 """Command-line interface: analysis subcommands emitting CSV/JSON artifacts.
 
-Subcommands: region, beta-ub, traj, simulate, wrench, ci. All numeric file
-output uses 9 significant digits and carries no timestamps, so reruns with
-identical inputs produce byte-identical files. Angle arguments take a `deg`
-or `rad` suffix; bare numbers are radians.
+Subcommands: region, beta-ub, traj, simulate, wrench, ci. Every number in
+every output file, and in printed JSON, has 9 significant digits: CSV
+through `_fmt`, JSON through `_json_text`. Files carry no timestamps, so
+reruns with identical inputs produce byte-identical files. Angle arguments
+take a `deg` or `rad` suffix; bare numbers are radians.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -28,12 +28,12 @@ from .maneuver import (
     linear_la_schedule,
     plan_pivot,
     plan_to_dict,
-    poses_to_dicts,
     simulate_grasp_trajectory,
     trajectory_csv,
 )
 from .stability import (
     _fmt,
+    _json_text,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -187,7 +187,7 @@ def cmd_region(args) -> int:
             obj, friction, la, alpha_grid, beta_grid, mode, delta=delta, workers=args.parallel
         )
         outputs.append((out_dir / f"{stem}.csv", region_map_csv(rmap)))
-        outputs.append((out_dir / f"{stem}.json", json.dumps(region_map_meta(rmap, obj), indent=2) + "\n"))
+        outputs.append((out_dir / f"{stem}.json", _json_text(region_map_meta(rmap, obj))))
     _write_all(outputs)
     return EXIT_OK
 
@@ -202,10 +202,10 @@ def cmd_beta_ub(args) -> int:
     if bound.status == "infeasible_at_start":
         doc, code = {"error": "infeasible_at_start"}, EXIT_INFEASIBLE_START
     else:
-        doc, code = {"beta_ub_rad": float(_fmt(bound.value)) if bound.finite else "none"}, EXIT_OK
+        doc, code = {"beta_ub_rad": bound.value if bound.finite else "none"}, EXIT_OK
     if bound.finite and len(bound.transitions) > 1:
-        doc["transitions_rad"] = [float(_fmt(t)) for t in bound.transitions]
-    text = json.dumps(doc, indent=2) + "\n"
+        doc["transitions_rad"] = bound.transitions
+    text = _json_text(doc)
     print(text, end="")
     if args.out:
         _write_text(Path(args.out), text)
@@ -226,25 +226,23 @@ def cmd_traj(args) -> int:
             raise CliValidationError("--clamp-beta-ub requires --mu")
         bound = beta_upper_bound(obj, parse_mu(args.mu), la, alpha, delta=delta)
         if bound.status == "infeasible_at_start":
-            print(json.dumps({"error": "infeasible_at_start"}, indent=2))
+            print(_json_text({"error": "infeasible_at_start"}), end="")
             return EXIT_INFEASIBLE_START
         if bound.finite:
             bound_value = bound.value
 
-    if args.center is None:
-        center = GripperPose(x=obj.a, y=obj.b, phi=beta0)
+    if args.center is None:  # the pose that keeps the ground corner at the origin
+        c, s = math.cos(beta0), math.sin(beta0)
+        cx, cy = obj.a * c - obj.b * s, obj.a * s + obj.b * c
     else:
         cx, cy = parse_point(args.center)
-        center = GripperPose(x=cx, y=cy, phi=beta0)
+    center = GripperPose(x=cx, y=cy, phi=beta0)
     plan = plan_pivot(obj, cfg, center, theta, args.waypoints, beta_ub=bound_value)
-    doc = plan_to_dict(plan)
 
-    outputs = [(Path(args.out), json.dumps(doc, indent=2) + "\n")]
+    outputs = [(Path(args.out), _json_text(plan_to_dict(plan)))]
     if args.align_out:
         poses = align_phase(obj, cfg, args.waypoints)
-        outputs.append(
-            (Path(args.align_out), json.dumps({"waypoints": poses_to_dicts(poses)}, indent=2) + "\n")
-        )
+        outputs.append((Path(args.align_out), _json_text({"waypoints": [vars(p) for p in poses]})))
     _write_all(outputs)
     return EXIT_OK
 
@@ -262,15 +260,13 @@ def cmd_simulate(args) -> int:
     traj = simulate_grasp_trajectory(obj, friction, alpha, schedule, beta_grid, delta=delta)
     n_la = math.floor(1.0 / args.la_step + 1e-9)
     la_grid = tuple(min(args.la_step * i, 1.0) for i in range(1, n_la + 1))
-    gmap = grasp_plane_sweep(
-        obj, friction, alpha, la_grid, beta_grid, delta=delta, workers=args.parallel
-    )
+    gmap = grasp_plane_sweep(obj, friction, alpha, la_grid, beta_grid, delta=delta)
 
     out_dir = Path(args.out_dir)
     _write_all([
         (out_dir / f"trajectory_{obj.name}.csv", trajectory_csv(traj)),
         (out_dir / f"grasp_plane_{obj.name}.csv", grasp_plane_csv(gmap)),
-        (out_dir / f"grasp_plane_{obj.name}.json", json.dumps(grasp_plane_meta(gmap, obj), indent=2) + "\n"),
+        (out_dir / f"grasp_plane_{obj.name}.json", _json_text(grasp_plane_meta(gmap, obj))),
     ])
     return EXIT_OK
 
@@ -378,7 +374,7 @@ def _traj_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta0", default="0", help="initial object tilt (default 0)")
     p.add_argument("--theta", default="90deg", help="pivot rotation (default 90deg)")
     p.add_argument("--waypoints", type=int, default=64)
-    p.add_argument("--center", default=None, help="object centre x,y (mm); default rests on ground")
+    p.add_argument("--center", default=None, help="object centre x,y (mm); default: ground corner at the origin")
     p.add_argument("--mu", default=None)
     p.add_argument("--clamp-beta-ub", action="store_true",
                    help="clamp theta to the force-balance tilt bound (requires --mu)")
@@ -395,7 +391,6 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-step", type=float, default=0.5)
     p.add_argument("--la-step", type=float, default=0.02, help="l_a grid step for the overlay map")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--parallel", type=int, default=1, help="accepted; starts no processes")
     p.set_defaults(func=cmd_simulate)
 
 

@@ -216,15 +216,11 @@ def simulate_grasp_trajectory(
 def plan_to_dict(plan: PivotPlan) -> dict:
     """JSON document for a pivot plan."""
     return {
-        "p_c": [float(_fmt(plan.p_c[0])), float(_fmt(plan.p_c[1]))],
-        "r": float(_fmt(plan.r)),
-        "theta_rad": float(_fmt(plan.theta)),
-        "waypoints": poses_to_dicts(plan.waypoints),
+        "p_c": plan.p_c,
+        "r": plan.r,
+        "theta_rad": plan.theta,
+        "waypoints": [vars(p) for p in plan.waypoints],
     }
-
-
-def poses_to_dicts(poses: tuple[GripperPose, ...]) -> list[dict]:
-    return [{"x": float(_fmt(p.x)), "y": float(_fmt(p.y)), "phi": float(_fmt(p.phi))} for p in poses]
 
 
 def trajectory_csv(traj: GraspTrajectory) -> str:

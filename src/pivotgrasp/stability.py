@@ -25,6 +25,7 @@ its rows at fixed alpha, and both run beta across. `RegionMap` and
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -244,12 +245,11 @@ def grasp_plane_sweep(
     mode: str = "force_balance",
     *,
     delta: float,
-    workers: int = 1,
 ) -> GridMap:
     """Evaluate stability over (l_a, beta) at fixed alpha.
 
-    Batched like `region_sweep`; `workers` starts no processes. An `alpha`
-    or `delta` out of range raises the ConfigError that names it.
+    Batched like `region_sweep`. An `alpha` or `delta` out of range raises
+    the ConfigError that names it.
     """
     _check_axis("l_a", la_grid, lambda v: 0.0 < v <= 1.0)
     return _grid_sweep(
@@ -351,6 +351,21 @@ def _fmt(v: float) -> str:
     return f"{v + 0.0:.9g}"  # + 0.0 normalises negative zero
 
 
+def _json_text(doc) -> str:
+    """`doc` as indented JSON text, every float (numpy floats too) written as `_fmt` rounds it."""
+
+    def rounded(v):
+        if isinstance(v, (float, np.floating)):
+            return float(_fmt(v))
+        if isinstance(v, dict):
+            return {key: rounded(item) for key, item in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [rounded(item) for item in v]
+        return v
+
+    return json.dumps(rounded(doc), indent=2) + "\n"
+
+
 def _grid_csv(row_label: str, row_values, gmap: GridMap) -> str:
     """Header row of beta values (deg), first column `row_values`, cells 0/1."""
     lines = [f"{row_label}/beta_deg," + ",".join(_fmt(math.degrees(b)) for b in gmap.beta_axis)]
@@ -370,11 +385,10 @@ def grasp_plane_csv(gmap: GridMap) -> str:
 
 
 def _grid_meta(axis_rad: tuple[float, ...]) -> dict:
-    degs = [math.degrees(v) for v in axis_rad]
     return {
-        "start_deg": float(_fmt(degs[0])),
-        "stop_deg": float(_fmt(degs[-1])),
-        "count": len(degs),
+        "start_deg": math.degrees(axis_rad[0]),
+        "stop_deg": math.degrees(axis_rad[-1]),
+        "count": len(axis_rad),
     }
 
 
@@ -395,7 +409,7 @@ def _map_meta(gmap: GridMap, obj: ObjectSpec, fixed_key: str, fixed, rows_key: s
             "mu_G": gmap.friction.mu_g,
         },
         fixed_key: fixed,
-        "delta_mm": float(_fmt(gmap.delta)),
+        "delta_mm": gmap.delta,
         "mode": gmap.mode,
         rows_key: rows,
         "beta_grid": _grid_meta(gmap.beta_axis),
@@ -413,6 +427,6 @@ def grasp_plane_meta(gmap: GridMap, obj: ObjectSpec) -> dict:
     """JSON sidecar content describing a grasp-plane map."""
     la = gmap.row_axis
     return _map_meta(
-        gmap, obj, "alpha_rad", float(_fmt(gmap.fixed)),
+        gmap, obj, "alpha_rad", gmap.fixed,
         "la_grid", {"start": la[0], "stop": la[-1], "count": len(la)},
     )

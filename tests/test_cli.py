@@ -240,6 +240,16 @@ class TestTraj:
         doc = json.loads(out.read_text())
         assert doc["p_c"] == [100.0, 0.0]
 
+    @pytest.mark.parametrize("beta0", ["30deg", "60deg"])
+    def test_default_center_keeps_the_ground_corner_at_the_origin(self, tmp_path, beta0):
+        out = tmp_path / "p.json"
+        code = main([
+            "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg",
+            "--beta0", beta0, "--waypoints", "4", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["p_c"] == [0.0, 0.0]
+
     def test_clamp_without_mu_exits_2(self, tmp_path, capsys):
         code = main([
             "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg",
@@ -288,6 +298,60 @@ class TestSimulate:
         assert plane[0].startswith("l_a/beta_deg,0,5,")
         meta = json.loads((tmp_path / "grasp_plane_bushing.json").read_text())
         assert meta["alpha_rad"] == pytest.approx(math.radians(18.0), rel=1e-6)
+
+
+    def test_parallel_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([
+                "simulate", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--alpha", "18deg",
+                "--la-schedule", "0.9:0.65", "--out-dir", str(tmp_path), "--parallel", "2",
+            ])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def _floats(doc) -> list[float]:
+    """Every float in a parsed JSON document."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [v for item in doc for v in _floats(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def test_every_json_float_keeps_9_significant_digits(tmp_path, capsys):
+    """Every JSON file and printed JSON text rounds each float, echoed inputs included."""
+    catalog = tmp_path / "objects.json"
+    catalog.write_text(json.dumps([{"name": "tube", "a_mm": 34.0000000001, "D_mm": 34.0, "d_mm": 28.0,
+                                    "gripper": {"w_mm": 20.0}}]))
+    out = tmp_path / "out"
+    obj = ["--object", "tube", "--objects", str(catalog)]
+    grid = ["--la", "0.7", "--alpha-step", "10", "--beta-step", "10", "--out-dir", str(out)]
+    ub = ["beta-ub", *obj, "--mu", "0,0,0.4"]
+    calls = [
+        (["region", *obj, "--mu", "0.2,0.4,0.4", *grid], 0),
+        (["region", *obj, "--mu", "0.2,0.4,0.4", *grid, "--mode", "form-closure"], 0),
+        (["simulate", *obj, "--mu", "0.2,0.4,0.4", "--alpha", "18deg", "--la-schedule", "0.9:0.65",
+          "--beta-step", "10", "--la-step", "0.3", "--out-dir", str(out)], 0),
+        ([*ub, "--la", "0.9", "--alpha", "18deg", "--out", str(out / "finite.json")], 0),
+        ([*ub, "--la", "0.4", "--alpha", "60deg", "--delta", "7.2", "--out", str(out / "two.json")], 0),
+        ([*ub, "--la", "0.4", "--alpha", "10deg", "--out", str(out / "start.json")], 4),
+        (["traj", *obj, "--la", "0.9", "--alpha", "18deg", "--beta0", "30deg", "--waypoints", "8",
+          "--out", str(out / "plan.json"), "--align-out", str(out / "align.json")], 0),
+    ]
+    printed = []
+    for argv, want in calls:
+        assert main(argv) == want
+        stdout = capsys.readouterr().out
+        if argv[0] == "beta-ub":
+            printed.append(json.loads(stdout))
+    assert len(printed[1]["transitions_rad"]) == 2
+    docs = printed + [json.loads(p.read_text()) for p in sorted(out.glob("*.json"))]
+    assert len(docs) == 3 + 8
+    values = [v for doc in docs for v in _floats(doc)]
+    assert [v for v in values if v != float(f"{v:.9g}")] == []
+    assert 0.9 in values and 34.0 in values
 
 
 class TestCi:

@@ -1,6 +1,5 @@
 """Stable-region sweep and tilt-bound tests (coarse grids for speed)."""
 
-import json
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from pivotgrasp.geometry import ConfigError, GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
 from pivotgrasp.stability import (
     GridMap,
+    _json_text,
     beta_upper_bound,
     default_alpha_grid,
     default_beta_grid,
@@ -252,8 +252,8 @@ class TestSerialization:
         def texts(alphas, betas, las):
             rmap = region_sweep(BUSHING, SET_C, 0.7, alphas, betas, delta=DELTA)
             gmap = grasp_plane_sweep(BUSHING, SET_C, math.pi / 10, las, betas, delta=DELTA)
-            return (region_map_csv(rmap), json.dumps(region_map_meta(rmap, BUSHING)),
-                    grasp_plane_csv(gmap), json.dumps(grasp_plane_meta(gmap, BUSHING)))
+            return (region_map_csv(rmap), _json_text(region_map_meta(rmap, BUSHING)),
+                    grasp_plane_csv(gmap), _json_text(grasp_plane_meta(gmap, BUSHING)))
 
         assert texts(np.array(alphas), np.array(betas), np.array(las)) == texts(alphas, betas, las)
         with pytest.raises(ValueError, match="alpha axis is empty"):
