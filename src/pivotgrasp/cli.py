@@ -218,7 +218,7 @@ def cmd_traj(args) -> int:
     alpha = parse_angle(args.alpha)
     beta0 = parse_angle(args.beta0)
     cfg = config_from_delta(obj, la, alpha, beta0, delta)
-    theta = parse_angle(args.theta)
+    theta = math.pi / 2 - beta0 if args.theta is None else parse_angle(args.theta)
 
     bound_value = None
     if args.clamp_beta_ub:
@@ -372,7 +372,7 @@ def _traj_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--la", type=float, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta0", default="0", help="initial object tilt (default 0)")
-    p.add_argument("--theta", default="90deg", help="pivot rotation (default 90deg)")
+    p.add_argument("--theta", help="pivot rotation (default 90deg minus --beta0: ends upright)")
     p.add_argument("--waypoints", type=int, default=64)
     p.add_argument("--center", default=None, help="object centre x,y (mm); default: ground corner at the origin")
     p.add_argument("--mu", default=None)

@@ -5,18 +5,19 @@ Two fixed-shape problems are posed over the six basis contact wrenches:
 * force balance: min sum(k) s.t. ext + sum(k_i F_i) = 0, k_i >= 0
 * form closure:  min sum(k) s.t. sum(k_i F_i) = 0, k_i >= 1
 
-Both ask whether a target (-ext, or -sum(F_i) after the shift k = 1 + u) lies
-in the cone of the six columns. This module computes; `stability` decides.
-`cone_scores` scores many cells at once with a numpy kernel over the 20
-column triples (Caratheodory's theorem for cones), and `cone_score` gives the
-same score for one cell in Python floats. The two-phase dense simplex with
-Bland's rule (no cycling) on the 3-equality-row LP answers one cell with its
-minimising coefficients; `stability` asks it in `is_stable` and for cells
-whose score lies within `CONE_BAND` of zero or is NaN, and decides every
-other cell by the sign of its score. Both LPs reach the simplex through one
-wrapper (`_solve_shifted`) that differs between them only in the external
-wrench and the lower bound. An
-independent basic-solution enumeration oracle (`oracle_force_balance`)
+Both ask whether a target (-ext, or -sum(F_i) after the shift k = 1 + u)
+lies in the cone of the six columns. This module computes; `stability`
+decides. A numpy kernel scores many cells over the 20 column triples
+(Caratheodory's theorem for cones), a chunk at a time: `cone_scores` copies
+each chunk's columns from a basis, `product_scores` makes them with one
+coefficient-table product. `cone_score` gives the same score for one cell in
+Python floats. The two-phase dense simplex with Bland's rule (no cycling) on
+the 3-equality-row LP answers one cell with its minimising coefficients;
+`stability` asks it in `is_stable` and for cells whose score lies within
+`CONE_BAND` of zero or is NaN, and decides every other cell by the sign of
+its score. Both LPs reach the simplex through one wrapper (`_solve_shifted`)
+that differs between them only in the external wrench and the lower bound.
+An independent basic-solution enumeration oracle (`oracle_force_balance`)
 cross-checks the simplex and must never be merged with it.
 """
 
@@ -226,10 +227,14 @@ CONE_BAND = 1e-6
 # 32,399-cell grid ran 2.4 to 2.7x faster than in one pass, and 256 to 2,048
 # cells per pass all ran within about 10 % of each other.
 _CHUNK = 512
-# Workspace rows per cell: g with its m and x rows repeated (5 x 6), t (3),
-# the pair gathers of that g at i and at j (2 x 5 x 15), the pair cross
-# products (3 x 15), tc (15) and det (20).
-_ROWS = 30 + 3 + 150 + 45 + 15 + 20
+# Workspace rows per cell, reused pass by pass: the pair crosses (0-44, the features
+# before them), the 7 columns with their m and x rows repeated (45-79), rows x, y, m, x
+# of them at each pair's i and j (80-199), then the 35 dot products' columns (150-254),
+# crosses (45-149) and values (45-79): the 20 triples' g_i . (g_j x g_k), then the
+# target (column 6) against each pair.
+_ROWS = 255
+_DOT_COLUMN = np.concatenate([_TRIPLE_I, np.full(15, 6)])
+_DOT_CROSS = np.concatenate([_TRIPLE_JK, np.arange(15)])
 
 
 def cone_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndarray:
@@ -242,94 +247,94 @@ def cone_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndar
     coefficient of the target: positive inside the cone, negative outside.
     A zero target scores +inf (inside); a cell whose triples are all
     singular scores NaN.
-
-    Cells go through in chunks of `_CHUNK`. One workspace, made here, serves
-    all chunks of the call: every float array of a chunk is a view of its
-    leading entries, so a chunk allocates only its boolean masks.
     """
-    n = len(gens)
-    score = np.empty(n)
-    work = np.empty(_ROWS * min(n, _CHUNK))
     scale = np.array([1.0 / length, 1.0, 1.0])[:, None]
-    for s in range(0, n, _CHUNK):
-        out = score[s:s + _CHUNK]
-        rows = work[:_ROWS * len(out)].reshape(_ROWS, len(out))
-        _chunk_scores(gens[s:s + _CHUNK], targets[s:s + _CHUNK], scale, rows, out)
-    return score
+
+    def fill(columns, start, spare):
+        np.multiply(gens[start:start + columns.shape[-1]].transpose(2, 1, 0), scale[:, None], out=columns[:, :6])
+        np.multiply(targets[start:start + columns.shape[-1]].T, scale, out=columns[:, 6])
+
+    return _scores(len(gens), fill)
 
 
-def _chunk_scores(
-    gens: np.ndarray, targets: np.ndarray, scale: np.ndarray, work: np.ndarray, out: np.ndarray
-) -> None:
-    """Scores of one chunk into `out`; every float temporary is a row view of `work`.
+def product_scores(table: np.ndarray, cells: int, write, length: float) -> np.ndarray:
+    """`cone_scores` of cells whose generators and target are coefficient products.
 
-    `work` has shape (_ROWS, n) for the chunk's n cells. The pair gather
-    rows serve as scratch before they are filled and after their last use.
-    Each step applies the ufuncs of the plain expression in its comment, in
-    the same operand order, so the workspace layout changes no bit of a
-    score. Gathers use mode="clip": with the default "raise", `take`
-    buffers through a temporary.
+    Component k (m, fx, fy) of column i (six generators, then the target) of a cell is
+    table[k, i] @ phi; `write(out, start)` puts phi of cells start, ... in the rows of `out`.
     """
-    n = len(out)
-    g5 = work[:30].reshape(5, 6, n)  # rows m, x, y, m, x
-    t = work[30:33]
-    scratch = work[33:183]
-    pi = scratch[:75].reshape(5, 15, n)  # g5 at each pair's i
-    pj = scratch[75:].reshape(5, 15, n)  # g5 at each pair's j
-    cross = work[183:228].reshape(3, 15, n)
-    tc = work[228:243]
-    det = work[243:263]
+    table = (table * np.array([1.0 / length, 1.0, 1.0])[:, None, None]).reshape(21, -1)
 
-    g = g5[:3]
-    np.multiply(gens.transpose(2, 1, 0), scale[:, None], out=g)  # (3, 6, n)
-    sq, norm = scratch[:18].reshape(3, 6, n), scratch[18:24]
-    np.multiply(g, g, out=sq)
-    np.add.reduce(sq, axis=0, out=norm)
-    np.sqrt(norm, out=norm)
-    g /= norm
-    np.multiply(targets.T, scale, out=t)  # (3, n)
-    sq, t_norm = scratch[24:27], scratch[27]
-    np.multiply(t, t, out=sq)
-    np.add.reduce(sq, axis=0, out=t_norm)
-    np.sqrt(t_norm, out=t_norm)
-    zero = t_norm == 0.0
-    t_norm[zero] = 1.0
-    t /= t_norm
+    def fill(columns, start, spare):
+        write(spare[:table.shape[1]], start)
+        np.matmul(table, spare[:table.shape[1]], out=columns.reshape(21, -1))
 
-    # cm, cx, cy = xi*yj - yi*xj, yi*mj - mi*yj, mi*xj - xi*mj (g_i x g_j)
-    np.copyto(g5[3:], g5[:2])
-    g5.take(_PAIR_I, axis=1, out=pi, mode="clip")
-    g5.take(_PAIR_J, axis=1, out=pj, mode="clip")
-    np.multiply(pi[1:4], pj[2:5], out=cross)
-    np.multiply(pi[2:5], pj[1:4], out=pi[2:5])
-    cross -= pi[2:5]
-    # tc = t0*cm + t1*cx + t2*cy, the target . (g_i x g_j)
-    terms = scratch[:45].reshape(3, 15, n)
-    np.multiply(t[:, None], cross, out=terms)
-    np.add(terms[0], terms[1], out=tc)
-    tc += terms[2]
-    # det = m[i]*cm[jk] + x[i]*cx[jk] + y[i]*cy[jk], the g_i . (g_j x g_k)
-    gi, cjk = scratch[:60].reshape(3, 20, n), scratch[60:120].reshape(3, 20, n)
-    g.take(_TRIPLE_I, axis=1, out=gi, mode="clip")
-    cross.take(_TRIPLE_JK, axis=1, out=cjk, mode="clip")
-    np.multiply(gi, cjk, out=gi)
-    np.add(gi[0], gi[1], out=det)
-    det += gi[2]
-    np.abs(det, out=scratch[:20])
-    singular = scratch[:20] <= _SINGULAR_DET
-    det[singular] = 1.0
-    # Cramer's rule: smallest = min(min(tc[jk] / det, tc[ij] / det), -(tc[ik] / det))
-    k = scratch[:60].reshape(3, 20, n)
-    tc.take(_CRAMER, axis=0, out=k.reshape(60, n), mode="clip")
-    k /= det
-    np.negative(k[2], out=k[2])
-    smallest = k[0]
-    np.minimum(smallest, k[1], out=smallest)
-    np.minimum(smallest, k[2], out=smallest)
-    smallest[singular] = -np.inf
-    np.maximum.reduce(smallest, axis=0, out=out)
-    out[out == -np.inf] = np.nan
-    out[zero] = np.inf
+    return _scores(cells, fill)
+
+
+def _scores(cells: int, fill) -> np.ndarray:
+    """Scores of `cells` cells in equal chunks of at most `_CHUNK` (the last maybe shorter).
+
+    `fill(columns, start, spare)` writes the (3, 7, n) columns of a chunk's n cells start, ...;
+    `spare` is free rows. Every float temporary is a row view of one workspace, so a chunk
+    allocates only its boolean masks and what `fill` makes. Each step applies the ufuncs of
+    the plain expression in its comment, in the same operand order, so the layout changes no
+    bit of a score. Gathers use mode="clip": with "raise", `take` buffers through a temporary.
+    """
+    score = np.empty(cells)
+    chunks = -(-cells // _CHUNK) or 1
+    size = -(-cells // chunks) or 1
+    workspace = np.empty(_ROWS * size)
+    for start in range(0, cells, size):
+        out = score[start:start + size]
+        n = len(out)
+        work = workspace[:_ROWS * n].reshape(_ROWS, n)
+        g5 = work[45:80].reshape(5, 7, n)  # rows m, x, y, m, x
+        g = g5[:3]  # columns 0-5 the generators, 6 the target
+        fill(g, start, work[:45])
+        sq, norm = work[80:101].reshape(3, 7, n), work[101:108]
+        np.multiply(g, g, out=sq)
+        np.add.reduce(sq, axis=0, out=norm)
+        np.sqrt(norm, out=norm)
+        zero = norm[6] == 0.0
+        norm[6][zero] = 1.0
+        g /= norm
+
+        # cm, cx, cy = xi*yj - yi*xj, yi*mj - mi*yj, mi*xj - xi*mj (g_i x g_j)
+        cross = work[:45].reshape(3, 15, n)
+        pi = work[80:140].reshape(4, 15, n)  # rows x, y, m, x of g5 at each pair's i
+        pj = work[140:200].reshape(4, 15, n)  # and at its j
+        np.copyto(g5[3:], g5[:2])
+        g5[1:].take(_PAIR_I, axis=1, out=pi, mode="clip")
+        g5[1:].take(_PAIR_J, axis=1, out=pj, mode="clip")
+        np.multiply(pi[:3], pj[1:], out=cross)
+        np.multiply(pi[1:], pj[:3], out=pi[1:])
+        cross -= pi[1:]
+        # dot = c0*cm + c1*cx + c2*cy for each column c and cross of `_DOT_*`:
+        # det = g_i . (g_j x g_k) per triple, then tc = t . (g_i x g_j) per pair
+        columns, crosses = work[150:255].reshape(3, 35, n), work[45:150].reshape(3, 35, n)
+        g.take(_DOT_COLUMN, axis=1, out=columns, mode="clip")
+        cross.take(_DOT_CROSS, axis=1, out=crosses, mode="clip")
+        np.multiply(columns, crosses, out=columns)
+        dot = work[45:80]
+        np.add(columns[0], columns[1], out=dot)
+        dot += columns[2]
+        det, tc = dot[:20], dot[20:]
+        np.abs(det, out=work[:20])
+        singular = work[:20] <= _SINGULAR_DET
+        det[singular] = 1.0
+        # Cramer's rule: smallest = min(min(tc[jk] / det, tc[ij] / det), -(tc[ik] / det))
+        k = work[80:140].reshape(3, 20, n)
+        tc.take(_CRAMER, axis=0, out=k.reshape(60, n), mode="clip")
+        k /= det
+        np.negative(k[2], out=k[2])
+        smallest = work[140:160]
+        np.minimum.reduce(k, axis=0, out=smallest)
+        smallest[singular] = -np.inf
+        np.maximum.reduce(smallest, axis=0, out=out)
+        out[out == -np.inf] = np.nan
+        out[zero] = np.inf
+    return score
 
 
 def cone_score(gens, target, length: float) -> float:

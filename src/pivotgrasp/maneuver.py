@@ -86,7 +86,8 @@ def plan_pivot(
     The pivot centre is the corner diagonally opposite the hole-side top
     edge; the initial gripper pose is the midpoint of the two finger
     contacts at angle alpha relative to the object. When `beta_ub` is given
-    the rotation is clamped so the final tilt does not exceed it.
+    the rotation is clamped so the final tilt does not exceed it, and a
+    final tilt past upright raises ValueError.
     """
     validate_config(cfg, obj)
     if n_waypoints < 2:
@@ -99,6 +100,8 @@ def plan_pivot(
         theta = min(theta, beta_ub - object_pose.phi)
         if theta <= 0:
             raise ValueError("object tilt already at or beyond the requested bound")
+    if object_pose.phi + theta > HALF_PI + 1e-12:
+        raise ValueError("the pivot would tilt the object past upright (phi + theta > pi/2)")
 
     center = (object_pose.x, object_pose.y)
     gx, gy = _rot(object_pose.phi, -obj.a, -obj.b)

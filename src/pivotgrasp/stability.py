@@ -8,14 +8,15 @@ balance is first lost.
 
 This module decides; `lp` only computes. One cell (`is_stable`) is decided
 by the dense simplex. Every other decision reads the cell's cone score
-(`lp.cone_scores` for many cells in one numpy pass, `lp.cone_score` for
-one) and applies one band rule: a score farther than `lp.CONE_BAND` from
-zero is decided by its sign, and every other cell, NaN scores included,
-goes to `is_stable`. So a grid gives exactly the answers of `is_stable`
-cell by cell. Grids go through `stable_cells`. `beta_upper_bound` is one
-fixed procedure: a 1 degree coarse scan over [0, 90] degrees through the
-kernel body of `stable_cells`, then bisection of each bracket to 1e-4 rad,
-each step decided by the scalar score under the same rule.
+(`lp.product_scores` for many cells, each chunk's basis one product of a
+coefficient table, `lp.cone_score` for one) and applies one band rule: a
+score farther than `lp.CONE_BAND` from zero is decided by its sign, and
+every other cell, NaN scores included, goes to `is_stable`. So a grid gives
+exactly the answers of `is_stable` cell by cell. Grids go through
+`stable_cells`. `beta_upper_bound` is one fixed procedure: a 1 degree coarse
+scan over [0, 90] degrees through the kernel body of `stable_cells`, then
+bisection of each bracket to 1e-4 rad, each step decided by the scalar score
+under the same rule.
 
 Both map kinds are one type, `GridMap`, filled by one sweep body: a region
 map puts alpha down its rows at fixed l_a, a grasp-plane map puts l_a down
@@ -34,7 +35,7 @@ import numpy as np
 from . import lp
 from .geometry import HALF_PI, GraspConfig, ObjectSpec, validate_config
 from .lp import solve_force_balance, solve_form_closure
-from .wrenches import FrictionSet, Wrench, _edge_wrenches, contact_wrench_basis, wrench_basis_grid
+from .wrenches import FrictionSet, Wrench, _edge_wrenches, basis_coefficients, basis_features, contact_wrench_basis
 
 MODES = ("force_balance", "form_closure")
 
@@ -73,8 +74,10 @@ DEFAULT_LA_FAMILY = (0.5, 0.6, 0.7, 0.8, 0.9)
 # does not depend on the weight, and the simplex's absolute tolerances
 # would make it depend on the mass if the weight were the target.
 UNIT_GRAVITY = Wrench(0.0, 0.0, -1.0)
-# The direction the contact cone must hold for force balance: -UNIT_GRAVITY.
+# The direction the contact cone must hold for force balance: -UNIT_GRAVITY,
+# and its constant column of a `basis_coefficients` table.
 _FORCE_BALANCE_TARGET = UNIT_GRAVITY.scaled(-1.0).as_tuple()
+_FORCE_BALANCE_COLUMN = np.reshape(_FORCE_BALANCE_TARGET, (3, 1, 1)) * np.eye(1, 8)
 
 
 def is_stable(
@@ -135,27 +138,24 @@ def stable_cells(
 def _cell(axes, shape, i: int) -> tuple[float, float, float]:
     """(l_a, alpha, beta) of cell `i`, in C order, of the broadcast axes."""
     index = np.unravel_index(i, shape)
-    return tuple(float(np.broadcast_to(v, shape)[index]) for v in axes)
+    # j % n is the index j along an axis's own dimensions and 0 along its broadcast ones.
+    return tuple(float(v[tuple(j % n for j, n in zip(index[len(shape) - v.ndim:], v.shape))]) for v in axes)
 
 
 def _kernel_cells(obj, friction, axes, shape, mode, delta) -> np.ndarray:
-    """Flat C-order stability of the cells of in-range broadcast axes.
-
-    A cell whose kernel score lies farther than `lp.CONE_BAND` from zero is
-    decided by its sign; `is_stable` decides the rest, NaN scores included.
-    The axes go in un-broadcast: trig runs once per axis value, not once
-    per cell.
-    """
-    gens = wrench_basis_grid(obj, friction, *axes, delta)
-    if mode == "force_balance":
-        targets = np.broadcast_to(_FORCE_BALANCE_TARGET, (len(gens), 3))
-    else:
-        targets = -gens.sum(axis=1)
-    score = lp.cone_scores(gens, targets, obj.a)
+    """Flat C-order stability of in-range broadcast axes: a score's sign off `lp.CONE_BAND`, else `is_stable`."""
+    score = _cell_scores(obj, friction, axes, mode, delta)
     stable = score > 0
-    for i in np.flatnonzero(~(np.abs(score) > lp.CONE_BAND)).tolist():
+    for i in np.flatnonzero(~((score > lp.CONE_BAND) | (score < -lp.CONE_BAND))).tolist():
         stable[i] = _stable_at(obj, friction, *_cell(axes, shape, i), mode, delta)
     return stable
+
+
+def _cell_scores(obj, friction, axes, mode, delta) -> np.ndarray:
+    """Flat C-order kernel scores of broadcast axes; form closure's target column is minus the edges' sum."""
+    coef = basis_coefficients(obj, friction, delta)
+    target = _FORCE_BALANCE_COLUMN if mode == "force_balance" else -coef.sum(axis=1, keepdims=True)
+    return lp.product_scores(np.concatenate([coef, target], axis=1), *basis_features(*axes), obj.a)
 
 
 @dataclass(frozen=True)

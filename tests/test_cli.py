@@ -240,6 +240,23 @@ class TestTraj:
         doc = json.loads(out.read_text())
         assert doc["p_c"] == [100.0, 0.0]
 
+    def test_default_theta_ends_upright(self, tmp_path):
+        out = tmp_path / "p.json"
+        argv = ["traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg", "--beta0", "30deg"]
+        assert main([*argv, "--waypoints", "4", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["theta_rad"] == 1.04719755  # 60 deg: 30 deg plus 60 deg ends at 90 deg
+        assert doc["waypoints"][-1]["phi"] == pytest.approx(math.radians(18.0 + 90.0))
+
+    @pytest.mark.parametrize("extra", [["--beta0", "30deg", "--theta", "90deg"], ["--beta0", "90deg"]])
+    def test_a_plan_past_upright_exits_2(self, tmp_path, extra):
+        code = main([
+            "traj", "--object", "bushing", "--la", "0.9", "--alpha", "18deg", *extra,
+            "--out", str(tmp_path / "p.json"),
+        ])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("beta0", ["30deg", "60deg"])
     def test_default_center_keeps_the_ground_corner_at_the_origin(self, tmp_path, beta0):
         out = tmp_path / "p.json"

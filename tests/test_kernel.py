@@ -2,13 +2,14 @@
 
 Every multi-cell caller answers through `stability.stable_cells`, whose
 kernel decides the cells clear of the cone boundary. These tests compare the
-kernel's decisions, and the callers' outputs, with `is_stable` and the LP
-solvers cell by cell; each comparison must show zero disagreements. Run
-with -s to see the band-fallback counts.
+kernel's decisions on that path (`stability._cell_scores`), and the callers'
+outputs, with `is_stable` and the LP solvers cell by cell; each comparison
+must show zero disagreements. Run with -s to see the band-fallback counts.
 """
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,9 +36,9 @@ from pivotgrasp.stability import (
 from pivotgrasp.wrenches import (
     FRICTIONLESS,
     FrictionSet,
+    _edge_wrenches,
     contact_wrench_basis,
     gravity_wrench,
-    wrench_basis_grid,
 )
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
@@ -53,21 +54,28 @@ def cfg_for(obj, delta, l_a, alpha, beta):
     return GraspConfig(l_a=l_a, alpha=alpha, beta=beta, delta=delta)
 
 
+def basis_grid(obj, friction, l_a, alpha, beta, delta):
+    """(N, 6, 3) bases of the cells of broadcast axes, from the wrench formulas with numpy trig."""
+    edges = _edge_wrenches(np.sin, np.cos, obj, friction, *np.broadcast_arrays(l_a, alpha, beta), delta)
+    return np.stack([np.stack(np.broadcast_arrays(*edge), axis=-1) for edge in edges], axis=-2).reshape(-1, 6, 3)
+
+
 def targets_for(gens, mode):
     if mode == "force_balance":
         return np.broadcast_to([0.0, 0.0, 1.0], (len(gens), 3))
     return -gens.sum(axis=1)
 
 
-def kernel_disagreements(obj, gens, mode, expected):
-    """(disagreements, band cells) of the raw kernel scores against `expected`.
+def kernel_disagreements(obj, friction, axes, delta, mode, expected):
+    """(disagreements, band cells) of the kernel scores of `stable_cells` against `expected`.
 
     A score farther than `lp.CONE_BAND` from zero decides by its sign; the
     others (NaN included) are band cells.
     """
-    score = cone_scores(gens, targets_for(gens, mode), obj.a)
+    axes = [np.asarray(v, dtype=float) for v in axes]
+    score = stability._cell_scores(obj, friction, axes, mode, delta)
     decided = np.abs(score) > lp.CONE_BAND
-    return int(np.sum(((score > 0) != np.asarray(expected)) & decided)), int(np.sum(~decided))
+    return int(np.sum(((score > 0) != np.ravel(expected)) & decided)), int(np.sum(~decided))
 
 
 def test_kernel_matches_simplex_on_criterion_3_family():
@@ -75,15 +83,13 @@ def test_kernel_matches_simplex_on_criterion_3_family():
     disagree = band = maps = cells = 0
     for friction in SETS.values():
         for l_a in DEFAULT_LA_FAMILY:
-            gens = wrench_basis_grid(
-                BUSHING, friction, l_a, np.array(alphas)[:, None], np.array(betas)[None, :], DELTA
-            )
+            axes = (l_a, np.array(alphas)[:, None], np.array(betas)[None, :])
             for mode in MODES:
                 scalar = np.array([
                     [is_stable(BUSHING, cfg_for(BUSHING, DELTA, l_a, a, b), friction, mode) for b in betas]
                     for a in alphas
                 ])
-                d, u = kernel_disagreements(BUSHING, gens, mode, scalar.ravel())
+                d, u = kernel_disagreements(BUSHING, friction, axes, DELTA, mode, scalar)
                 disagree += d
                 band += u
                 rmap = region_sweep(BUSHING, friction, l_a, alphas, betas, mode, delta=DELTA)
@@ -97,18 +103,17 @@ def test_kernel_matches_simplex_on_criterion_3_family():
 def test_kernel_matches_simplex_on_criterion_6_cells():
     # the same 1000 random cells as acceptance criterion 6
     rng = random.Random(20240817)
-    gens, expected = [], []
+    disagree = band = 0
     for _ in range(1000):
         l_a = rng.uniform(0.01, 1.0)
         alpha = rng.uniform(0.005, math.pi / 2 - 0.005)
         beta = rng.uniform(0.0, math.pi / 2)
         friction = FrictionSet(rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.6))
         basis = contact_wrench_basis(BUSHING, cfg_for(BUSHING, DELTA, l_a, alpha, beta), friction)
-        grid = wrench_basis_grid(BUSHING, friction, l_a, alpha, beta, DELTA)
-        assert grid[0] == pytest.approx(np.array(basis.columns()), rel=1e-12, abs=1e-12)
-        gens.append(grid[0])
-        expected.append(solve_force_balance(basis, gravity_wrench(BUSHING)).feasible)
-    disagree, band = kernel_disagreements(BUSHING, np.array(gens), "force_balance", expected)
+        expected = solve_force_balance(basis, gravity_wrench(BUSHING)).feasible
+        d, u = kernel_disagreements(BUSHING, friction, (l_a, alpha, beta), DELTA, "force_balance", expected)
+        disagree += d
+        band += u
     print(f"criterion-6 cells: 1000 cells, {disagree} disagreements, {band} band cells")
     assert disagree == 0
 
@@ -123,13 +128,12 @@ def test_kernel_matches_simplex_on_catalog_objects():
             l_a = rng.uniform(0.01, 1.0, 150)
             alpha = rng.uniform(0.005, math.pi / 2 - 0.005, 150)
             beta = rng.uniform(0.0, math.pi / 2, 150)
-            gens = wrench_basis_grid(obj, friction, l_a, alpha, beta, delta)
             for mode in MODES:
                 scalar = [
                     is_stable(obj, cfg_for(obj, delta, *cell), friction, mode)
                     for cell in zip(l_a, alpha, beta)
                 ]
-                d, u = kernel_disagreements(obj, gens, mode, scalar)
+                d, u = kernel_disagreements(obj, friction, (l_a, alpha, beta), delta, mode, scalar)
                 disagree += d
                 band += u
                 cells += len(scalar)
@@ -145,8 +149,7 @@ def test_cells_at_the_tilt_bound_match_simplex():
         bound = beta_upper_bound(BUSHING, friction, l_a, alpha, delta=DELTA)
         betas = bound.value + np.linspace(-1e-4, 1e-4, 201)
         scalar = [is_stable(BUSHING, cfg_for(BUSHING, DELTA, l_a, alpha, b), friction) for b in betas]
-        gens = wrench_basis_grid(BUSHING, friction, l_a, alpha, betas, DELTA)
-        d, u = kernel_disagreements(BUSHING, gens, "force_balance", scalar)
+        d, u = kernel_disagreements(BUSHING, friction, (l_a, alpha, betas), DELTA, "force_balance", scalar)
         disagree += d + int(np.sum(stable_cells(BUSHING, friction, l_a, alpha, betas, delta=DELTA) != scalar))
         band += u
     print(f"tilt-bound cells: 603 cells, {disagree} disagreements, {band} band cells")
@@ -186,7 +189,7 @@ def test_nan_scores_go_to_the_simplex(monkeypatch):
         asked.add((alpha, beta, mode))
         return stable_at(obj, friction, l_a, alpha, beta, mode, delta)
 
-    monkeypatch.setattr(lp, "cone_scores", lambda gens, targets, length: np.full(len(gens), np.nan))
+    monkeypatch.setattr(lp, "product_scores", lambda table, cells, write, length: np.full(cells, np.nan))
     monkeypatch.setattr(stability, "_stable_at", recorded)
     for mode in MODES:
         rmap = region_sweep(BUSHING, SETS["C"], 0.7, alphas, betas, mode, delta=DELTA)
@@ -203,11 +206,11 @@ def test_batched_scores_equal_scores_computed_alone(n):
     # A zero target (+inf) and an all-singular cell (NaN) sit just after the
     # first full chunk, where a row left over from it would show.
     rng = np.random.default_rng(n)
-    gens = wrench_basis_grid(
+    gens = basis_grid(
         BUSHING, SETS["C"], rng.uniform(0.01, 1.0, n), rng.uniform(0.005, math.pi / 2 - 0.005, n),
         rng.uniform(0.0, math.pi / 2, n), DELTA,
     )
-    chunk = lp._CHUNK
+    chunk = -(-n // -(-n // lp._CHUNK))  # the equal chunks' size
     if n > chunk + 1:
         gens[chunk + 1] = [[1.0, 0, 0], [0, 1.0, 0], [1.0, 1, 0]] * 2
     for mode in MODES:
@@ -233,7 +236,7 @@ def test_scalar_score_equals_the_kernel_score():
         obj, gripper = catalog[n % len(catalog)]
         delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
         friction = FRICTIONLESS if n % 3 == 0 else FrictionSet(*rng.uniform(0.0, 0.6, 3))
-        gens = wrench_basis_grid(
+        gens = basis_grid(
             obj, friction, rng.uniform(0.01, 1.0, 10), rng.uniform(0.005, math.pi / 2 - 0.005, 10),
             rng.uniform(0.0, math.pi / 2, 10), delta,
         )
@@ -403,6 +406,22 @@ def test_force_balance_does_not_depend_on_mass():
         )
         assert rmap.feasible.size == 2024
         assert rmap.feasible_cells() == cells == 1030
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_memory_does_not_grow_with_the_grid(mode):
+    # 179 x 1,801 cells (0.05 deg beta steps): the scores, the decisions and
+    # one chunk's workspace, about 12 bytes per cell, not a basis per cell.
+    alphas, betas = np.array(default_alpha_grid())[:, None], np.array(default_beta_grid(0.05))[None, :]
+    tracemalloc.start()
+    try:
+        stable = stable_cells(BUSHING, SETS["C"], 0.7, alphas, betas, mode, delta=DELTA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{mode}: {stable.size} cells, peak {peak / stable.size:.1f} bytes per cell")
+    assert stable.shape == (179, 1801) and stable.any()
+    assert peak <= 32 * stable.size
 
 
 def test_stable_cells_raises_the_first_invalid_cell():

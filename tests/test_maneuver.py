@@ -98,6 +98,14 @@ class TestPlanPivot:
             with pytest.raises(ValueError, match="already at or beyond"):
                 plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2, 4, beta_ub=beta_ub)
 
+    def test_rejects_a_tilt_past_upright(self):
+        tilted = GripperPose(x=34.0, y=17.0, phi=0.5)
+        with pytest.raises(ValueError, match="past upright"):
+            plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2, 4)
+        assert plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2 - 0.5, 4).theta == math.pi / 2 - 0.5
+        # a bound clamps first: a plan that ends at the bound is fine
+        assert plan_pivot(BUSHING, cfg_for(), tilted, math.pi / 2, 4, beta_ub=1.2).theta == 1.2 - 0.5
+
     def test_rejects_a_nan_angle_or_bound(self):
         with pytest.raises(ValueError, match="pivot angle"):
             plan_pivot(BUSHING, cfg_for(), LYING, math.nan, 4)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -57,3 +58,24 @@ def test_decisions_do_not_depend_on_the_length_unit(name, l_a, alpha, betas, mu,
     # A few cells, so the kernel decides all but the first.
     cells = (friction, l_a, alpha, betas, mode)
     assert stable_cells(scaled, *cells, delta=delta * k).tolist() == stable_cells(obj, *cells, delta=delta).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CATALOG)),
+    la=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+    alpha=st.lists(st.floats(0.005, math.pi / 2 - 0.005), min_size=1, max_size=3),
+    beta=st.lists(st.floats(0.0, math.pi / 2), min_size=1, max_size=6),
+    mu=st.tuples(MU, MU, MU),
+    more=st.tuples(MU, MU, MU),
+    mode=st.sampled_from(MODES),
+)
+def test_more_friction_keeps_every_stable_cell(name, la, alpha, beta, mu, more, mode):
+    # Criterion 3 as a property: friction mu <= mu' componentwise, on an
+    # (l_a, alpha, beta) grid, so the kernel decides all but the first cell.
+    obj, gripper = CATALOG[name]
+    delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+    grid = np.array(la)[:, None, None], np.array(alpha)[None, :, None], np.array(beta)
+    low = stable_cells(obj, FrictionSet(*mu), *grid, mode, delta=delta)
+    high = stable_cells(obj, FrictionSet(*(m + d for m, d in zip(mu, more))), *grid, mode, delta=delta)
+    assert not (low & ~high).any()

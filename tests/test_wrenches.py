@@ -6,13 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from pivotgrasp.geometry import GraspConfig, ObjectSpec
+from pivotgrasp.geometry import GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
 from pivotgrasp.wrenches import (
     FRICTIONLESS,
     FrictionSet,
+    _edge_wrenches,
+    basis_coefficients,
+    basis_features,
     contact_wrench_basis,
     gravity_wrench,
-    wrench_basis_grid,
 )
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
@@ -132,15 +134,45 @@ class TestBasisProperties:
                     assert abs(c1 - c0) / h < bound
 
 
+def features(l_a, alpha, beta):
+    """phi of every cell of broadcast (l_a, alpha, beta) arrays, written in chunks of 100 cells."""
+    cells, write = basis_features(l_a, alpha, beta)
+    out = np.empty((8, cells))
+    for start in range(0, cells, 100):
+        write(out[:, start:start + 100], start)
+    return out
+
+
 def test_basis_on_unbroadcast_axes_equals_the_raveled_call():
     # Trig on the axes alone must give the very bits of trig on every cell.
     rng = np.random.default_rng(11)
-    friction, delta = FrictionSet(0.2, 0.4, 0.3), 7.2
     la = rng.uniform(0.01, 1.0, (23, 1))
     alpha = rng.uniform(0.005, math.pi / 2 - 0.005, (23, 1))
     beta = rng.uniform(0.0, math.pi / 2, (1, 37))
-    for axes in ((0.7, alpha, beta), (la, 0.3, beta)):
+    for axes in ((0.7, alpha, beta), (la, 0.3, beta), (la[:, :, None], alpha.T[:, :, None], beta)):
         raveled = [v.ravel() for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in axes))]
-        grid = wrench_basis_grid(BUSHING, friction, *axes, delta)
-        assert grid.shape == (23 * 37, 6, 3) and grid.flags.c_contiguous
-        assert np.array_equal(grid, wrench_basis_grid(BUSHING, friction, *raveled, delta))
+        phi = features(*axes)
+        assert phi.shape == (8, raveled[0].size)
+        assert np.array_equal(phi, features(*raveled))
+        assert np.array_equal(phi[:2], [np.ones(raveled[0].size), raveled[0]])
+
+
+def test_coefficient_table_matches_the_wrench_formulas():
+    # 1,000 random cells of the catalog objects, frictionless and random
+    # friction: the table's product with phi is the basis of `_edge_wrenches`
+    # to within 1e-14 of the cell's largest entry.
+    rng = np.random.default_rng(3)
+    catalog = list(load_catalog().values())
+    worst = 0.0
+    for n in range(100):
+        obj, gripper = catalog[n % len(catalog)]
+        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+        friction = FRICTIONLESS if n % 4 == 0 else FrictionSet(*rng.uniform(0.0, 0.6, 3))
+        cells = rng.uniform(0.01, 1.0, 10), rng.uniform(0.005, math.pi / 2 - 0.005, 10), rng.uniform(0.0, math.pi / 2, 10)
+        table = basis_coefficients(obj, friction, delta) @ features(*cells)  # (3, 6, cells)
+        for c, (l_a, alpha, beta) in enumerate(zip(*cells)):
+            exact = np.array(_edge_wrenches(math.sin, math.cos, obj, friction, l_a, alpha, beta, delta))
+            gap = np.max(np.abs(table[:, :, c].T - exact)) / np.max(np.abs(exact))
+            worst = max(worst, gap)
+    print(f"coefficient table: 1000 cells, largest relative gap {worst:.2e}")
+    assert worst <= 1e-14
