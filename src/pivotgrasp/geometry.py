@@ -9,6 +9,7 @@ G (the ground corner the object pivots about).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -217,14 +218,25 @@ def object_from_dict(doc: dict) -> tuple[ObjectSpec, GripperSpec]:
 def load_catalog(path: str | Path | None = None) -> dict[str, tuple[ObjectSpec, GripperSpec]]:
     """Load the object catalog, keyed by object name.
 
-    With no path, the bundled catalog of reference objects is used. A
-    catalog that is not JSON, not a list of entries or that names one
-    object twice raises GeometryError.
+    With no path, the bundled catalog of reference objects is used; it is
+    parsed once per process, and each call returns a new dict of it. A file
+    at `path` is read on every call. A catalog that is not JSON, not a list
+    of entries or that names one object twice raises GeometryError.
     """
     if path is None:
-        text = resources.files("pivotgrasp.data").joinpath("objects.json").read_text()
-    else:
-        text = Path(path).read_text()
+        return dict(_bundled_catalog())
+    return _parse_catalog(Path(path).read_text(), path)
+
+
+@functools.cache
+def _bundled_catalog() -> dict[str, tuple[ObjectSpec, GripperSpec]]:
+    """The bundled catalog; its errors name it by its place in the package."""
+    text = resources.files("pivotgrasp.data").joinpath("objects.json").read_text()
+    return _parse_catalog(text, "pivotgrasp/data/objects.json")
+
+
+def _parse_catalog(text: str, path) -> dict[str, tuple[ObjectSpec, GripperSpec]]:
+    """The catalog in JSON `text`, read from `path`."""
     try:
         docs = json.loads(text)
     except json.JSONDecodeError as e:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -188,15 +189,17 @@ RegionMap = GridMap
 GraspPlaneMap = GridMap
 
 
-def _check_axis(name: str, axis, inside) -> None:
-    """Reject an empty or non-increasing axis, or one with a value (NaN included) not `inside`."""
-    if len(axis) == 0:
+def _check_axis(name: str, axis, inside) -> np.ndarray:
+    """`axis` as a float array; rejects it empty, with a value (NaN included) outside the mask `inside`, or non-increasing."""
+    values = np.asarray(axis, dtype=float)
+    if values.size == 0:
         raise ValueError(f"{name} axis is empty")
-    for v in axis:
-        if not inside(v):
-            raise ValueError(f"{name} axis value {v!r} lies outside its range")
-    if any(b <= a for a, b in zip(axis, axis[1:])):
+    outside = np.flatnonzero(~inside(values))
+    if outside.size:
+        raise ValueError(f"{name} axis value {float(values[outside[0]])!r} lies outside its range")
+    if (values[1:] <= values[:-1]).any():
         raise ValueError(f"{name} axis must be strictly increasing")
+    return values
 
 
 def _grid_sweep(obj, friction, mode, delta, l_a, alpha, fixed, row_axis, beta_axis) -> GridMap:
@@ -207,8 +210,8 @@ def _grid_sweep(obj, friction, mode, delta, l_a, alpha, fixed, row_axis, beta_ax
     a parameter all cells share (the fixed value or `delta`), and it names
     that parameter.
     """
-    _check_axis("beta", beta_axis, lambda v: 0.0 <= v <= HALF_PI)
-    feasible = stable_cells(obj, friction, l_a, alpha, np.array(beta_axis)[None, :], mode, delta=delta)
+    betas = _check_axis("beta", beta_axis, lambda v: (0.0 <= v) & (v <= HALF_PI))
+    feasible = stable_cells(obj, friction, l_a, alpha, betas[None, :], mode, delta=delta)
     return GridMap(mode, fixed, delta, friction, tuple(row_axis), tuple(beta_axis), feasible)
 
 
@@ -230,10 +233,8 @@ def region_sweep(
     depends on it. An `l_a` or `delta` out of range raises the ConfigError
     that names it, as `is_stable` does.
     """
-    _check_axis("alpha", alpha_grid, lambda v: 0.0 < v < HALF_PI)
-    return _grid_sweep(
-        obj, friction, mode, delta, l_a, np.array(alpha_grid)[:, None], l_a, alpha_grid, beta_grid
-    )
+    alphas = _check_axis("alpha", alpha_grid, lambda v: (0.0 < v) & (v < HALF_PI))
+    return _grid_sweep(obj, friction, mode, delta, l_a, alphas[:, None], l_a, alpha_grid, beta_grid)
 
 
 def grasp_plane_sweep(
@@ -251,10 +252,8 @@ def grasp_plane_sweep(
     Batched like `region_sweep`. An `alpha` or `delta` out of range raises
     the ConfigError that names it.
     """
-    _check_axis("l_a", la_grid, lambda v: 0.0 < v <= 1.0)
-    return _grid_sweep(
-        obj, friction, mode, delta, np.array(la_grid)[:, None], alpha, alpha, la_grid, beta_grid
-    )
+    las = _check_axis("l_a", la_grid, lambda v: (0.0 < v) & (v <= 1.0))
+    return _grid_sweep(obj, friction, mode, delta, las[:, None], alpha, alpha, la_grid, beta_grid)
 
 
 @dataclass(frozen=True)
@@ -352,18 +351,28 @@ def _fmt(v: float) -> str:
 
 
 def _json_text(doc) -> str:
-    """`doc` as indented JSON text, every float (numpy floats too) written as `_fmt` rounds it."""
+    """`doc` as `json.dumps(doc, indent=2)` writes it, plus a newline, every float (numpy floats too) as `_fmt` rounds it."""
+    return _json_value(doc, "\n") + "\n"
 
-    def rounded(v):
-        if isinstance(v, (float, np.floating)):
-            return float(_fmt(v))
-        if isinstance(v, dict):
-            return {key: rounded(item) for key, item in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [rounded(item) for item in v]
-        return v
 
-    return json.dumps(rounded(doc), indent=2) + "\n"
+def _json_value(v, newline: str) -> str:
+    """One value of `_json_text`, its lines after the first starting with `newline`."""
+    if isinstance(v, (float, np.floating)):
+        # A fixed-notation `.9g` string is the repr of the float it rounds to, less any ".0".
+        s = _fmt(v)
+        if "e" in s or "n" in s:  # an exponent, nan or inf
+            return json.dumps(float(s))
+        return s if "." in s else s + ".0"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    inner = newline + "  "
+    if isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_value(item, inner)}" for key, item in v.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json_value(item, inner) for item in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(v)  # int, bool, None
 
 
 def _grid_csv(row_label: str, row_values, gmap: GridMap) -> str:

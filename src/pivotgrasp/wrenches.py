@@ -12,6 +12,7 @@ times per-cell features (`basis_features`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -137,16 +138,23 @@ _FIT_CELLS = [((-1.0) ** t, t * math.pi / 4, 3 * t * math.pi / 4) for t in range
 _FIT_PHI = np.array([[1.0, l_a, *(f(x) for x in (a, b, a - b) for f in (math.cos, math.sin))]
                      for l_a, a, b in _FIT_CELLS])
 _FIT_INVERSE = _FIT_PHI.T / (_FIT_PHI * _FIT_PHI).sum(axis=0)[:, None]
+# The most tables `basis_coefficients` keeps. Grasps recur a few at a time: the benchmark's CLI script
+# fits 2 grasps per pass, a region family 3 (one per friction set), a plan query 1 (twice); 4 keep all.
+_COEFFICIENT_TABLES = 4
 
 
+@functools.lru_cache(maxsize=_COEFFICIENT_TABLES)
 def basis_coefficients(obj: ObjectSpec, fr: FrictionSet, delta: float) -> np.ndarray:
-    """(3, 6, 8) table C: component k (m, fx, fy) of edge i at a cell is C[k, i] @ phi.
+    """(3, 6, 8) read-only table C: component k (m, fx, fy) of edge i at a cell is C[k, i] @ phi.
 
     C is fitted to `_edge_wrenches` itself, so no second formula exists.
+    Equal (obj, fr, delta) share one table while it is among the latest `_COEFFICIENT_TABLES`.
     """
     edges = chain.from_iterable(_edge_wrenches(math.sin, math.cos, obj, fr, *cell, delta) for cell in _FIT_CELLS)
     values = np.fromiter(chain.from_iterable(edges), float, 8 * 18).reshape(8, 18)
-    return (_FIT_INVERSE @ values).T.reshape(6, 3, 8).transpose(1, 0, 2)
+    table = (_FIT_INVERSE @ values).T.reshape(6, 3, 8).transpose(1, 0, 2)
+    table.flags.writeable = False
+    return table
 
 
 def basis_features(l_a, alpha, beta):

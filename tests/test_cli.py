@@ -3,6 +3,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -503,3 +507,40 @@ class TestReuse:
                                 "trajectory_tube.csv", "grasp_plane_tube.csv", "grasp_plane_tube.json",
                                 "bound.json", "plan.json"}
         assert load_catalog()["bushing"][0].D == 34.0
+
+
+class TestEntryPoint:
+    """`python -m pivotgrasp.cli` run from another working directory writes what `main` writes.
+
+    With `PYTHONPATH` set to `src` the package, and so `data/objects.json`, still comes from the
+    source tree: this checks the module entry point and that no path depends on the working
+    directory, not that an installed package ships its data files (CI's "Installed entry point"
+    step checks that).
+    """
+
+    CALLS = [
+        ["region", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--la", "0.7", "--alpha-step", "10",
+         "--beta-step", "10", "--out-dir", "out"],
+        ["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9", "--alpha", "18deg",
+         "--out", "out/beta_ub.json"],
+    ]
+
+    def test_a_module_run_writes_what_an_in_process_run_writes(self, tmp_path, monkeypatch, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        outputs = {}
+        for side in ("module", "in_process"):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            for argv in self.CALLS:
+                if side == "module":
+                    done = subprocess.run([sys.executable, "-m", "pivotgrasp.cli", *argv], env=env,
+                                          capture_output=True, text=True, timeout=120)
+                    code, out, err = done.returncode, done.stdout, done.stderr
+                else:
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                assert code == 0, err
+                outputs.setdefault(side, []).append(out)
+            outputs[side].append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+        assert len(outputs["module"][-1]) == 3
+        assert outputs["module"] == outputs["in_process"]

@@ -2,9 +2,12 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from pivotgrasp import geometry
+from pivotgrasp.cli import main
 from pivotgrasp.geometry import (
     ConfigError,
     GeometryError,
@@ -22,6 +25,7 @@ from pivotgrasp.geometry import (
 )
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
+RING = '{"name": "ring", "a_mm": 30, "D_mm": 30, "d_mm": 20, "gripper": {"w_mm": 10}}'
 
 
 class TestHoleContactOffset:
@@ -189,3 +193,48 @@ class TestCatalog:
                 {"name": "x", "a_mm": 50, "b_mm": None, "D_mm": 40, "d_mm": 30,
                  "cylinder": False, "gripper": {"w_mm": 10, "stroke_mm": 80}}
             )
+
+    def test_bundled_catalog_is_parsed_once_per_process(self, monkeypatch, tmp_path, capsys):
+        parses = []
+
+        def counting_parse(text, path):
+            parses.append(path)
+            return parse(text, path)
+
+        parse = geometry._parse_catalog
+        monkeypatch.setattr(geometry, "_parse_catalog", counting_parse)
+        geometry._bundled_catalog.cache_clear()
+        catalogs = [load_catalog() for _ in range(5)]
+        for beta in ("0", "30deg", "60deg"):
+            assert main(["wrench", "--object", "bushing", "--mu", "0,0,0", "--la", "0.9",
+                         "--alpha", "18deg", "--beta", beta, "--out", str(tmp_path / f"{beta}.csv")]) == 0
+        catalogs.append(load_catalog())
+        assert parses == ["pivotgrasp/data/objects.json"]
+        assert all(c == catalogs[0] for c in catalogs)
+        assert len({id(c) for c in catalogs}) == len(catalogs)
+        catalogs[0].clear()
+        assert load_catalog() == catalogs[1]
+
+    def test_a_catalog_file_is_read_on_every_call(self, tmp_path, capsys):
+        catalog, dumps = tmp_path / "objects.json", []
+        for a in (30, 60):
+            catalog.write_text(f"[{RING.replace('30', str(a), 1)}]")
+            assert load_catalog(catalog)["ring"][0].a == a
+            assert main(["wrench", "--objects", str(catalog), "--object", "ring", "--mu", "0,0,0",
+                         "--la", "0.9", "--alpha", "18deg", "--beta", "0"]) == 0
+            dumps.append(capsys.readouterr().out)
+        s1 = [dump.splitlines()[1] for dump in dumps]
+        assert s1 == ["S1,24,0,-1", "S1,48,0,-1"]  # moment arm l - a = 0.8 a
+
+    @pytest.mark.parametrize("text, message", [
+        ("not json", "is not JSON: "),
+        ('{"ring": 1}', "is not a JSON list of entries"),
+        (f"[{RING}, {RING}]", "lists 'ring' twice"),
+    ])
+    def test_bundled_catalog_errors_name_the_bundled_file(self, monkeypatch, tmp_path, text, message):
+        (tmp_path / "objects.json").write_text(text)
+        # The cached loader's own body, reading the package data from tmp_path.
+        monkeypatch.setattr(geometry, "resources", SimpleNamespace(files=lambda package: tmp_path))
+        with pytest.raises(GeometryError) as err:
+            geometry._bundled_catalog.__wrapped__()
+        assert str(err.value).startswith(f"catalog pivotgrasp/data/objects.json {message}")

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import pivotgrasp.cli as cli
@@ -195,6 +196,20 @@ def test_sweeps_reject_nan_inside_an_axis(sweep, axes):
 def test_sweeps_reject_an_empty_axis(sweep, axes, name):
     with pytest.raises(ValueError, match=f"{name} axis is empty"):
         sweep(BUSHING, SET_C, 0.4, *axes, delta=7.2)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("alphas, message", [
+    ((), "alpha axis is empty"),
+    ((0.1, 1.7), "alpha axis value 1.7 lies outside its range"),
+    ((0.1, math.nan, 2.0), "alpha axis value nan lies outside its range"),
+    ((0.3, 0.2, 1.7), "alpha axis value 1.7 lies outside its range"),  # the range is checked first
+    ((0.3, 0.3), "alpha axis must be strictly increasing"),
+])
+def test_axis_errors_name_a_plain_float_in_a_fixed_order(alphas, message, as_array):
+    with pytest.raises(ValueError) as err:
+        region_sweep(BUSHING, SET_C, 0.4, np.array(alphas) if as_array else alphas, (0.0, 0.3), delta=7.2)
+    assert str(err.value) == message
 
 
 # Every entry point that decides a grid of cells, called with one parameter

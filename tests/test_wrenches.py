@@ -176,3 +176,26 @@ def test_coefficient_table_matches_the_wrench_formulas():
             worst = max(worst, gap)
     print(f"coefficient table: 1000 cells, largest relative gap {worst:.2e}")
     assert worst <= 1e-14
+
+
+def test_equal_grasps_share_one_read_only_coefficient_table():
+    friction = FrictionSet(0.2, 0.4, 0.4)
+    table = basis_coefficients(BUSHING, friction, 7.2)
+    same = basis_coefficients(ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0), FrictionSet(0.2, 0.4, 0.4), 7.2)
+    assert same is table
+    others = [basis_coefficients(BUSHING, FrictionSet(0.2, 0.4, 0.3), 7.2), basis_coefficients(BUSHING, friction, 7.3)]
+    assert all(other is not table and not np.array_equal(other, table) for other in others)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table += 1.0
+
+
+def test_a_cached_coefficient_table_equals_a_fresh_fit_bit_for_bit():
+    rng = random.Random(5)
+    for obj, gripper in load_catalog().values():
+        delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+        for friction in (FRICTIONLESS, random_friction(rng)):
+            basis_coefficients(obj, friction, delta)  # cached, or fitted and cached now
+            table = basis_coefficients(obj, friction, delta)
+            assert table.tobytes() == basis_coefficients.__wrapped__(obj, friction, delta).tobytes()
