@@ -152,9 +152,11 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_all(outputs: list[tuple[Path, str]]) -> None:
-    """Write every (path, text) pair in order, printing each path once written."""
-    for path, text in outputs:
-        _write_text(path, text)
+    """Write every (path, text) pair in order, printing each path once written; each directory is made once."""
+    for n, (path, text) in enumerate(outputs):
+        if path.parent not in (p.parent for p, _ in outputs[:n]):
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
         print(path)
 
 

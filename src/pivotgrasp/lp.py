@@ -1,4 +1,4 @@
-"""Cone-membership tests for grasp feasibility: a batched score kernel and a dense LP core.
+"""Cone-membership tests for grasp feasibility: a batched score kernel and basic-solution certificates.
 
 Two fixed-shape problems are posed over the six basis contact wrenches:
 
@@ -6,19 +6,19 @@ Two fixed-shape problems are posed over the six basis contact wrenches:
 * form closure:  min sum(k) s.t. sum(k_i F_i) = 0, k_i >= 1
 
 Both ask whether a target (-ext, or -sum(F_i) after the shift k = 1 + u)
-lies in the cone of the six columns. This module computes; `stability`
-decides. A numpy kernel scores many cells over the 20 column triples
-(Caratheodory's theorem for cones), a chunk at a time: `cone_scores` copies
-each chunk's columns from a basis, `product_scores` makes them with one
-coefficient-table product. `cone_score` gives the same score for one cell in
-Python floats. The two-phase dense simplex with Bland's rule (no cycling) on
-the 3-equality-row LP answers one cell with its minimising coefficients;
+lies in the cone of the six columns, and every answer here enumerates column
+subsets: by Caratheodory's theorem for cones a target in the cone lies in the
+cone of at most three linearly independent columns. This module computes;
+`stability` decides. A numpy kernel (`product_scores`) scores many cells over
+the 20 column triples, a chunk at a time; `cone_score` gives the same score
+for one cell in Python floats. The certificate, the cheapest nonnegative
+basic solution of the 3-row LP, answers one cell with its minimising
+coefficients; both LPs reach it through one wrapper (`_solve_shifted`) that
+differs between them only in the external wrench and the lower bound.
 `stability` asks it in `is_stable` and for cells whose score lies within
-`CONE_BAND` of zero or is NaN, and decides every other cell by the sign of
-its score. Both LPs reach the simplex through one wrapper (`_solve_shifted`)
-that differs between them only in the external wrench and the lower bound.
-An independent basic-solution enumeration oracle (`oracle_force_balance`)
-cross-checks the simplex and must never be merged with it.
+`CONE_BAND` of zero or is NaN. An independent oracle (`oracle_force_balance`)
+solves its subsets with numpy; it cross-checks the certificate and must
+never be merged with it.
 """
 
 from __future__ import annotations
@@ -29,21 +29,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .wrenches import Wrench, WrenchBasis
+from .wrenches import WRENCH_LABELS, Wrench, WrenchBasis
 
 # Equality residuals carry the trig noise of the wrench coefficients
-# (~1e-15) amplified by pivoting; 1e-7 leaves margin without admitting
+# (~1e-15) amplified by the solve; 1e-7 leaves margin without admitting
 # genuinely infeasible cells. Bounds get a tighter 1e-9.
 RESIDUAL_TOL = 1e-7
 BOUND_TOL = 1e-9
-
-_PIVOT_TOL = 1e-11
-_REDCOST_TOL = 1e-11
-_ITERATION_CAP = 10_000
-
-
-class LpDegeneracyError(RuntimeError):
-    """Simplex exceeded its iteration cap; indicates a bug, not a model state."""
 
 
 @dataclass(frozen=True)
@@ -54,102 +46,76 @@ class LpOutcome:
     residual: float | None = None
 
 
+# Column pairs and triples of the six wrenches, and per triple (i, j, k): i and
+# the indices of its pairs (j, k), (i, j), (i, k).
+_PAIRS = tuple(combinations(range(6), 2))
+_TRIPLES = tuple(combinations(range(6), 3))
+_PAIR_INDEX = {pair: n for n, pair in enumerate(_PAIRS)}
+_TRIPLE_PAIRS = tuple((i, _PAIR_INDEX[(j, k)], _PAIR_INDEX[(i, j)], _PAIR_INDEX[(i, k)]) for i, j, k in _TRIPLES)
+
+
 def _solve_nonneg(
     columns: list[tuple[float, float, float]],
     rhs: tuple[float, float, float],
 ) -> tuple[bool, list[float] | None]:
-    """min sum(k) s.t. sum(k_j * columns[j]) = rhs, k >= 0.
+    """min sum(k) s.t. sum(k_j * columns[j]) = rhs, k >= 0, over six columns.
 
-    Dense two-phase simplex on the 3-row tableau. Phase 1 minimises the sum
-    of artificial variables (the L1 equality residual); at most RESIDUAL_TOL
-    of it may remain for the problem to count as feasible, which makes the
-    feasible region boundary inclusive.
+    With 3 equality rows an optimum is a basic solution, nonzero on at most 3
+    linearly independent columns: the cheapest one with every coefficient at
+    least -BOUND_TOL (then clamped to 0) and an L1 equality residual at most
+    RESIDUAL_TOL, which makes the feasible region boundary inclusive. The 20
+    triples are solved by Cramer's rule, as `cone_score` solves them. Only if
+    none qualifies (the columns span less than R^3, or the target lies within
+    RESIDUAL_TOL outside their cone) are the 15 pairs and the 6 single
+    columns solved by their normal equations.
     """
-    n = len(columns)
-    m = 3
-    # Tableau rows [A | I_artificial | b] with b >= 0.
-    T = []
-    for i in range(m):
-        s = 1.0 if rhs[i] >= 0.0 else -1.0
-        row = [s * columns[j][i] for j in range(n)]
-        row.extend(1.0 if j == i else 0.0 for j in range(m))
-        row.append(s * rhs[i])
-        T.append(row)
-    basis = list(range(n, n + m))
-    ncols = n + m + 1
-
-    def pivot(row: int, col: int) -> None:
-        prow = T[row]
-        inv = 1.0 / prow[col]
-        for j in range(ncols):
-            prow[j] *= inv
-        for i in range(len(T)):
-            if i == row:
-                continue
-            f = T[i][col]
-            if f != 0.0:
-                tr = T[i]
-                for j in range(ncols):
-                    tr[j] -= f * prow[j]
-        basis[row] = col
-
-    def run(cost: list[float], allow: int) -> float:
-        # Bland's rule throughout: entering = lowest eligible index,
-        # leaving = lowest basis index among minimum ratios. Terminates.
-        for _ in range(_ITERATION_CAP):
-            enter = -1
-            for j in range(allow):
-                cj = cost[j]
-                for i in range(len(T)):
-                    cb = cost[basis[i]]
-                    if cb != 0.0:
-                        cj -= cb * T[i][j]
-                if cj < -_REDCOST_TOL:
-                    enter = j
-                    break
-            if enter < 0:
-                return sum(cost[basis[i]] * T[i][ncols - 1] for i in range(len(T)))
-            leave = -1
-            best = math.inf
-            for i in range(len(T)):
-                aij = T[i][enter]
-                if aij > _PIVOT_TOL:
-                    r = T[i][ncols - 1] / aij
-                    if r < best - 1e-12 or (
-                        leave >= 0 and abs(r - best) <= 1e-12 and basis[i] < basis[leave]
-                    ):
-                        best = r
-                        leave = i
-            if leave < 0:
-                # Unbounded descent; cannot occur for these objectives.
-                raise LpDegeneracyError("unbounded phase objective")
-            pivot(leave, enter)
-        raise LpDegeneracyError("simplex iteration cap exceeded")
-
-    cost1 = [0.0] * n + [1.0] * m
-    if run(cost1, n + m) > RESIDUAL_TOL:
+    tm, tx, ty = rhs
+    cross, tc = [], []
+    for i, j in _PAIRS:
+        mi, xi, yi = columns[i]
+        mj, xj, yj = columns[j]
+        cm, cx, cy = xi * yj - yi * xj, yi * mj - mi * yj, mi * xj - xi * mj
+        cross.append((cm, cx, cy))
+        tc.append(tm * cm + tx * cx + ty * cy)
+    best, basic = math.inf, None
+    for (i, j, k), (_, jk, ij, ik) in zip(_TRIPLES, _TRIPLE_PAIRS):
+        mi, xi, yi = columns[i]
+        cm, cx, cy = cross[jk]
+        det = mi * cm + xi * cx + yi * cy
+        if det != 0.0:
+            ki, kj, kk = tc[jk] / det, -(tc[ik] / det), tc[ij] / det
+            if ki >= -BOUND_TOL and kj >= -BOUND_TOL and kk >= -BOUND_TOL:
+                best, basic = _cheaper(columns, rhs, best, basic, ((i, ki), (j, kj), (k, kk)))
+    if basic is None:
+        sq = [m * m + x * x + y * y for m, x, y in columns]
+        ct = [tm * m + tx * x + ty * y for m, x, y in columns]
+        for (i, j), (cm, cx, cy) in zip(_PAIRS, cross):
+            # The Gram determinant |c_i|^2 |c_j|^2 - (c_i . c_j)^2 is |c_i x c_j|^2.
+            det = cm * cm + cx * cx + cy * cy
+            if det != 0.0:
+                mi, xi, yi = columns[i]
+                mj, xj, yj = columns[j]
+                dot = mi * mj + xi * xj + yi * yj
+                ki, kj = (sq[j] * ct[i] - dot * ct[j]) / det, (sq[i] * ct[j] - dot * ct[i]) / det
+                if ki >= -BOUND_TOL and kj >= -BOUND_TOL:
+                    best, basic = _cheaper(columns, rhs, best, basic, ((i, ki), (j, kj)))
+        for j in range(6):
+            if sq[j] != 0.0 and ct[j] / sq[j] >= -BOUND_TOL:
+                best, basic = _cheaper(columns, rhs, best, basic, ((j, ct[j] / sq[j]),))
+    if basic is None:
         return False, None
+    return True, [dict(basic).get(j, 0.0) for j in range(6)]
 
-    # Remove artificials: pivot each basic one onto a real column, or drop
-    # its (redundant, ~zero) row entirely so phase 2 sees none.
-    for i in range(len(T) - 1, -1, -1):
-        if basis[i] >= n:
-            for j in range(n):
-                if abs(T[i][j]) > 1e-9:
-                    pivot(i, j)
-                    break
-            else:
-                del T[i]
-                del basis[i]
 
-    cost2 = [1.0] * n + [0.0] * m
-    run(cost2, n)
-
-    coeffs = [0.0] * n
-    for i in range(len(T)):
-        # Pivoting noise can leave a basic value at -1e-16; clamp to the bound.
-        coeffs[basis[i]] = max(T[i][ncols - 1], 0.0)
-    return True, coeffs
+def _cheaper(columns, rhs, best, basic, candidate):
+    """(best, basic) or, if cheaper and within RESIDUAL_TOL, the candidate's (sum, clamped (column, k) pairs)."""
+    candidate = tuple((j, max(k, 0.0)) for j, k in candidate)
+    cost = sum(k for _, k in candidate)
+    if cost < best and sum(
+        abs(rhs[r] - sum(k * columns[j][r] for j, k in candidate)) for r in range(3)
+    ) <= RESIDUAL_TOL:
+        return cost, candidate
+    return best, basic
 
 
 def _solve_shifted(
@@ -159,9 +125,15 @@ def _solve_shifted(
 ) -> LpOutcome:
     """min sum(k) s.t. ext + sum(k_j * columns[j]) = 0, k >= shift.
 
-    The shift k = shift + u with u >= 0 reuses the nonnegative simplex
+    The shift k = shift + u with u >= 0 reuses the nonnegative solve
     unchanged; the residual is measured on k against the unshifted equation.
+    A NaN or infinite entry raises ValueError naming it, before any solve.
     """
+    if not math.isfinite(sum(ext) + sum(map(sum, columns))):
+        for name, wrench in zip(("external", *WRENCH_LABELS), (ext, *columns)):
+            for axis, value in zip(("m", "fx", "fy"), wrench):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} wrench has a non-finite {axis}")
     rhs = tuple(-e for e in ext)
     if shift:
         rhs = tuple(rhs[i] - shift * sum(col[i] for col in columns) for i in range(3))
@@ -180,8 +152,8 @@ def solve_force_balance(basis: WrenchBasis, ext: Wrench) -> LpOutcome:
     """Can nonnegative combinations of the basis wrenches cancel ext?
 
     Feasible iff -ext lies in the cone of the six columns; the returned
-    coefficients minimise their sum. The simplex solves for ext divided by
-    its largest absolute component, so its absolute tolerances do not make
+    coefficients minimise their sum. The solve is for ext divided by its
+    largest absolute component, so its absolute tolerances do not make
     the answer depend on the size of ext; the coefficients, objective and
     residual are scaled back. Dividing by 1.0 (a unit or zero ext) is exact.
     """
@@ -203,13 +175,8 @@ def solve_form_closure(basis: WrenchBasis) -> LpOutcome:
 # Batched cone membership for many cells at once (Caratheodory's theorem for
 # cones: a target in the cone of six generators spanning R^3 lies in the cone
 # of some linearly independent triple of them).
-_PAIRS = tuple(combinations(range(6), 2))
-_TRIPLES = tuple(combinations(range(6), 3))
 _PAIR_I = np.array([i for i, _ in _PAIRS])
 _PAIR_J = np.array([j for _, j in _PAIRS])
-_PAIR_INDEX = {pair: n for n, pair in enumerate(_PAIRS)}
-# Per triple (i, j, k): i and the indices of its pairs (j, k), (i, j), (i, k).
-_TRIPLE_PAIRS = tuple((i, _PAIR_INDEX[(j, k)], _PAIR_INDEX[(i, j)], _PAIR_INDEX[(i, k)]) for i, j, k in _TRIPLES)
 _TRIPLE_I, _TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK = map(np.array, zip(*_TRIPLE_PAIRS))
 # Pairs of the target's Cramer numerators on g_i, g_k and, negated, g_j.
 _CRAMER = np.concatenate([_TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK])
@@ -219,8 +186,8 @@ _CRAMER = np.concatenate([_TRIPLE_JK, _TRIPLE_IJ, _TRIPLE_IK])
 # the band.
 _SINGULAR_DET = 1e-9
 # Scores within +-CONE_BAND of zero are too close to the boundary for the
-# kernel to overrule the simplex's own tolerances; `stability` sends those
-# cells to the simplex.
+# kernel to overrule the certificate's own tolerances (RESIDUAL_TOL and
+# BOUND_TOL); `stability` sends those cells to `is_stable`.
 CONE_BAND = 1e-6
 # Cells per kernel pass. A pass works in _ROWS floats per cell, about 1 MiB
 # at 512 cells, so it stays in cache: on a 2-core x86 box a default
@@ -237,31 +204,16 @@ _DOT_COLUMN = np.concatenate([_TRIPLE_I, np.full(15, 6)])
 _DOT_CROSS = np.concatenate([_TRIPLE_JK, np.arange(15)])
 
 
-def cone_scores(gens: np.ndarray, targets: np.ndarray, length: float) -> np.ndarray:
-    """Signed membership score of each target in the cone of its generators.
-
-    gens has shape (N, 6, 3) and targets (N, 3), rows (m, fx, fy). The
-    moment row is divided by `length`, then every generator and target is
-    scaled to unit length; neither step changes membership. A cell's score
-    is, over its nonsingular column triples, the largest smallest Cramer
-    coefficient of the target: positive inside the cone, negative outside.
-    A zero target scores +inf (inside); a cell whose triples are all
-    singular scores NaN.
-    """
-    scale = np.array([1.0 / length, 1.0, 1.0])[:, None]
-
-    def fill(columns, start, spare):
-        np.multiply(gens[start:start + columns.shape[-1]].transpose(2, 1, 0), scale[:, None], out=columns[:, :6])
-        np.multiply(targets[start:start + columns.shape[-1]].T, scale, out=columns[:, 6])
-
-    return _scores(len(gens), fill)
-
-
 def product_scores(table: np.ndarray, cells: int, write, length: float) -> np.ndarray:
-    """`cone_scores` of cells whose generators and target are coefficient products.
+    """Signed membership score of each cell's target in the cone of its six generators.
 
     Component k (m, fx, fy) of column i (six generators, then the target) of a cell is
     table[k, i] @ phi; `write(out, start)` puts phi of cells start, ... in the rows of `out`.
+    The moment row is divided by `length`, then every generator and target is scaled to
+    unit length; neither step changes membership. A cell's score is, over its nonsingular
+    column triples, the largest smallest Cramer coefficient of the target: positive inside
+    the cone, negative outside. A zero target scores +inf (inside); a cell whose triples
+    are all singular scores NaN.
     """
     table = (table * np.array([1.0 / length, 1.0, 1.0])[:, None, None]).reshape(21, -1)
 
@@ -338,7 +290,7 @@ def _scores(cells: int, fill) -> np.ndarray:
 
 
 def cone_score(gens, target, length: float) -> float:
-    """`cone_scores` of one cell, in Python floats.
+    """The kernel's score of one cell, in Python floats.
 
     gens is six (m, fx, fy) triples and target one. Every step applies the
     kernel's operations in the kernel's order, so the score equals the
@@ -387,7 +339,7 @@ def cone_score(gens, target, length: float) -> float:
 
 
 def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
-    """Brute-force cone membership check, independent of the simplex.
+    """Brute-force cone membership check, written apart from the certificate.
 
     Enumerates every column subset of size one to three and solves the
     corresponding exactly- or over-determined system; -ext is in the cone

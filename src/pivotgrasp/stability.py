@@ -7,7 +7,7 @@ plane of configurations; `beta_upper_bound` locates the tilt at which force
 balance is first lost.
 
 This module decides; `lp` only computes. One cell (`is_stable`) is decided
-by the dense simplex. Every other decision reads the cell's cone score
+by the LP certificate. Every other decision reads the cell's cone score
 (`lp.product_scores` for many cells, each chunk's basis one product of a
 coefficient table, `lp.cone_score` for one) and applies one band rule: a
 score farther than `lp.CONE_BAND` from zero is decided by its sign, and
@@ -72,7 +72,7 @@ def default_beta_grid(step_deg: float = 0.5) -> tuple[float, ...]:
 DEFAULT_LA_FAMILY = (0.5, 0.6, 0.7, 0.8, 0.9)
 
 # Force balance is decided against the direction of gravity: feasibility
-# does not depend on the weight, and the simplex's absolute tolerances
+# does not depend on the weight, and the certificate's absolute tolerances
 # would make it depend on the mass if the weight were the target.
 UNIT_GRAVITY = Wrench(0.0, 0.0, -1.0)
 # The direction the contact cone must hold for force balance: -UNIT_GRAVITY,

@@ -1,10 +1,12 @@
-"""Batched cone kernel against the per-cell simplex.
+"""Batched cone kernel against the per-cell LP certificate.
 
 Every multi-cell caller answers through `stability.stable_cells`, whose
 kernel decides the cells clear of the cone boundary. These tests compare the
 kernel's decisions on that path (`stability._cell_scores`), and the callers'
 outputs, with `is_stable` and the LP solvers cell by cell; each comparison
 must show zero disagreements. Run with -s to see the band-fallback counts.
+Test names and comments that say "simplex" mean the certificate behind
+`is_stable`, which a dense simplex computed before.
 """
 
 import math
@@ -17,7 +19,7 @@ import pytest
 
 from pivotgrasp import lp, stability
 from pivotgrasp.geometry import GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
-from pivotgrasp.lp import cone_scores, solve_force_balance
+from pivotgrasp.lp import solve_force_balance
 from pivotgrasp.maneuver import linear_la_schedule, simulate_grasp_trajectory
 from pivotgrasp.stability import (
     DEFAULT_LA_FAMILY,
@@ -58,6 +60,20 @@ def basis_grid(obj, friction, l_a, alpha, beta, delta):
     """(N, 6, 3) bases of the cells of broadcast axes, from the wrench formulas with numpy trig."""
     edges = _edge_wrenches(np.sin, np.cos, obj, friction, *np.broadcast_arrays(l_a, alpha, beta), delta)
     return np.stack([np.stack(np.broadcast_arrays(*edge), axis=-1) for edge in edges], axis=-2).reshape(-1, 6, 3)
+
+
+def cone_scores(gens, targets, length):
+    """The kernel's scores of raw cells: gens (N, 6, 3) and targets (N, 3), rows (m, fx, fy).
+
+    Each chunk's columns are copied from the arrays, the moment row divided by `length`.
+    """
+    scale = np.array([1.0 / length, 1.0, 1.0])[:, None]
+
+    def fill(columns, start, spare):
+        np.multiply(gens[start:start + columns.shape[-1]].transpose(2, 1, 0), scale[:, None], out=columns[:, :6])
+        np.multiply(targets[start:start + columns.shape[-1]].T, scale, out=columns[:, 6])
+
+    return lp._scores(len(gens), fill)
 
 
 def targets_for(gens, mode):

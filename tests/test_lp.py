@@ -1,4 +1,11 @@
-"""LP core tests: simplex against the enumeration oracle and known structure."""
+"""LP core tests: the certificates against the enumeration oracle, HiGHS and known structure.
+
+The certificate (`solve_force_balance`, `solve_form_closure`) is the cheapest
+nonnegative basic solution over column subsets, and the oracle enumerates
+subsets too; HiGHS (`TestAgainstHighs`, where scipy is installed) is the check
+that shares no theorem with either. Test names that say "simplex" mean the
+certificate, which a dense simplex computed before.
+"""
 
 import math
 import random
@@ -7,8 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pivotgrasp.geometry import GraspConfig, ObjectSpec
+from pivotgrasp.geometry import GraspConfig, ObjectSpec, hole_contact_depth, hole_contact_offset, load_catalog
 from pivotgrasp.lp import (
+    CONE_BAND,
+    cone_score,
     oracle_force_balance,
     solve_force_balance,
     solve_form_closure,
@@ -21,7 +30,7 @@ from pivotgrasp.wrenches import (
     contact_wrench_basis,
     gravity_wrench,
 )
-from pivotgrasp.stability import default_alpha_grid, default_beta_grid
+from pivotgrasp.stability import UNIT_GRAVITY, default_alpha_grid, default_beta_grid
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
 GRAVITY = gravity_wrench(BUSHING)
@@ -274,3 +283,103 @@ class TestFormClosure:
                 assert min(closure.coefficients) >= 1.0 - 1e-9
                 assert closure.residual <= 1e-7
         assert feasible == 24
+
+
+class TestNonFiniteInput:
+    def test_force_balance_names_the_non_finite_entry(self):
+        basis = basis_for(0.5, 0.5, 0.3, FrictionSet(0.1, 0.2, 0.3))
+        for ext, axis in (
+            (Wrench(math.nan, 0.0, -1.0), "m"), (Wrench(0.0, math.inf, -1.0), "fx"), (Wrench(1.0, 0.0, -math.inf), "fy"),
+        ):
+            with pytest.raises(ValueError, match=f"^external wrench has a non-finite {axis}$"):
+                solve_force_balance(basis, ext)
+
+    def test_a_non_finite_basis_wrench_is_named(self):
+        wrenches = list(basis_for(0.3, math.radians(10.0), math.radians(40.0), FrictionSet(0.2, 0.4, 0.4)))
+        wrenches[2] = Wrench(math.nan, wrenches[2].fx, wrenches[2].fy)
+        basis = WrenchBasis(tuple(wrenches))
+        with pytest.raises(ValueError, match="^H1 wrench has a non-finite m$"):
+            solve_form_closure(basis)
+        with pytest.raises(ValueError, match="^H1 wrench has a non-finite m$"):
+            solve_force_balance(basis, GRAVITY)
+
+
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _block_matrix(blocks):
+    """Sparse block-diagonal matrix from dense blocks of shape (N, r, c), as bench/checker.py builds it."""
+    from scipy import sparse
+
+    n, r, c = blocks.shape
+    rows = np.repeat(np.arange(n * r).reshape(n, r, 1), c, axis=2)
+    cols = np.repeat(np.arange(n * c).reshape(n, 1, c), r, axis=1)
+    return sparse.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n * r, n * c))
+
+
+class TestAgainstHighs:
+    """Each mode on 3,000 random catalog cells, every fifth frictionless, against HiGHS.
+
+    Both HiGHS LPs solve all cells at once, block-diagonally. Feasibility is a
+    zero L1 distance of the target from the cone in the normalised frame of
+    the kernel (moment row over the half-length, unit columns and target); it
+    must match wherever the cone score lies outside the band. Objectives must
+    match within 1e-9 relative on every cell both call feasible.
+    """
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        rng = random.Random(2024)
+        catalog = list(load_catalog().values())
+        cells = []
+        for n in range(3000):
+            obj, gripper = rng.choice(catalog)
+            delta = hole_contact_depth(obj, hole_contact_offset(gripper, obj))
+            fr = FRICTIONLESS if n % 5 == 0 else FrictionSet(*(rng.uniform(0.0, 0.6) for _ in range(3)))
+            cfg = GraspConfig(
+                l_a=rng.uniform(0.01, 1.0), alpha=rng.uniform(0.005, math.pi / 2 - 0.005),
+                beta=rng.uniform(0.0, math.pi / 2), delta=delta,
+            )
+            cells.append((obj.a, contact_wrench_basis(obj, cfg, fr)))
+        return cells
+
+    @pytest.mark.parametrize("mode", ["force_balance", "form_closure"])
+    def test_feasibility_and_objective_match_highs(self, cells, mode):
+        optimize = pytest.importorskip("scipy.optimize")
+        lengths = np.array([a for a, _ in cells])
+        gens = np.array([basis.columns() for _, basis in cells])  # (n, 6, 3)
+        if mode == "force_balance":
+            targets, lower = np.tile(UNIT_GRAVITY.scaled(-1.0).as_tuple(), (len(cells), 1)), 0.0
+            ours = [solve_force_balance(basis, UNIT_GRAVITY) for _, basis in cells]
+        else:
+            targets, lower = -gens.sum(axis=1), 1.0
+            ours = [solve_form_closure(basis) for _, basis in cells]
+        feasible = np.array([out.feasible for out in ours])
+        score = np.array([cone_score(g, t, a) for g, t, a in zip(gens.tolist(), targets.tolist(), lengths)])
+
+        scale = np.stack([1.0 / lengths, np.ones(len(cells)), np.ones(len(cells))], axis=1)
+        unit = gens * scale[:, None, :]
+        unit /= np.linalg.norm(unit, axis=2, keepdims=True)
+        target = targets * scale
+        target /= np.linalg.norm(target, axis=1, keepdims=True)
+        eye = np.broadcast_to(np.eye(3), (len(cells), 3, 3))
+        distance = optimize.linprog(
+            np.tile(np.r_[np.zeros(6), np.ones(6)], len(cells)),
+            A_eq=_block_matrix(np.concatenate([unit.transpose(0, 2, 1), eye, -eye], axis=2)), b_eq=target.ravel(),
+            bounds=(0, None), method="highs", options=_HIGHS_OPTIONS,
+        )
+        assert distance.status == 0, distance.message
+        highs = distance.x.reshape(-1, 12)[:, 6:].sum(axis=1) <= 1e-9
+        decided = np.abs(score) > CONE_BAND
+        assert np.array_equal(feasible[decided], highs[decided])
+
+        both = feasible & highs
+        rhs = targets[both] if mode == "force_balance" else np.zeros((int(both.sum()), 3))
+        optimum = optimize.linprog(
+            np.ones(6 * int(both.sum())), A_eq=_block_matrix(gens[both].transpose(0, 2, 1)), b_eq=rhs.ravel(),
+            bounds=(lower, None), method="highs", options=_HIGHS_OPTIONS,
+        )
+        assert optimum.status == 0, optimum.message
+        objective = [out.objective for out, ok in zip(ours, both) if ok]
+        np.testing.assert_allclose(objective, optimum.x.reshape(-1, 6).sum(axis=1), rtol=1e-9, atol=0)
+        print(f"{mode}: {len(cells)} cells, {int(both.sum())} feasible, {int(np.sum(~decided))} band cells")
