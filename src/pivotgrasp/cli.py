@@ -293,7 +293,11 @@ def cmd_wrench(args) -> int:
 def cmd_ci(args) -> int:
     records = []
     if args.infile:
-        for line_no, line in enumerate(Path(args.infile).read_text().splitlines(), 1):
+        try:
+            lines = Path(args.infile).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            raise CliValidationError(f"{args.infile}: {e}") from None
+        for line_no, line in enumerate(lines, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

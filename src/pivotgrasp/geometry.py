@@ -220,12 +220,15 @@ def load_catalog(path: str | Path | None = None) -> dict[str, tuple[ObjectSpec, 
 
     With no path, the bundled catalog of reference objects is used; it is
     parsed once per process, and each call returns a new dict of it. A file
-    at `path` is read on every call. A catalog that is not JSON, not a list
-    of entries or that names one object twice raises GeometryError.
+    at `path` is read on every call. A catalog that is not UTF-8 text, not JSON,
+    not a list of entries or that names one object twice raises GeometryError.
     """
     if path is None:
         return dict(_bundled_catalog())
-    return _parse_catalog(Path(path).read_text(), path)
+    try:
+        return _parse_catalog(Path(path).read_text(encoding="utf-8"), path)
+    except UnicodeDecodeError as e:
+        raise GeometryError(f"catalog {path} is not UTF-8 text: {e}") from None
 
 
 @functools.cache

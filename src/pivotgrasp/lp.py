@@ -17,8 +17,8 @@ coefficients; both LPs reach it through one wrapper (`_solve_shifted`) that
 differs between them only in the external wrench and the lower bound.
 `stability` asks it in `is_stable` and for cells whose score lies within
 `CONE_BAND` of zero or is NaN. An independent oracle (`oracle_force_balance`)
-solves its subsets with numpy; it cross-checks the certificate and must
-never be merged with it.
+solves all 41 subsets by least squares in one numpy batch; it cross-checks
+the certificate and must never be merged with it.
 """
 
 from __future__ import annotations
@@ -338,13 +338,18 @@ def cone_score(gens, target, length: float) -> float:
     return math.nan if best == -math.inf else best
 
 
-def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
-    """Brute-force cone membership check, written apart from the certificate.
+# The oracle's subsets of one to three columns as index triples; index 6 is a
+# zero column (coefficient 0), so each pair and each single column is a triple.
+_SUBSETS = np.array([s + (6,) * (3 - n) for n in (1, 2, 3) for s in combinations(range(6), n)])
 
-    Enumerates every column subset of size one to three and solves the
-    corresponding exactly- or over-determined system; -ext is in the cone
-    iff some subset admits a componentwise nonnegative solution. By
-    Caratheodory's theorem for cones this enumeration is exhaustive.
+
+def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
+    """Brute-force cone membership check, written apart from the certificate and the kernel.
+
+    Solves every subset of one to three columns by least squares, all 41 in
+    one batched pseudo-inverse; -ext is in the cone iff some subset has every
+    coefficient at least -BOUND_TOL and a max-norm residual at most
+    RESIDUAL_TOL. By Caratheodory's theorem for cones this is exhaustive.
     """
     b = -np.array(ext.as_tuple())
     # Tolerances are absolute, so the target is solved at unit size.
@@ -352,19 +357,7 @@ def oracle_force_balance(basis: WrenchBasis, ext: Wrench) -> bool:
     if scale == 0.0:
         return True
     b /= scale
-    cols = np.array(basis.columns()).T  # 3 x 6
-    for size in (3, 2, 1):
-        for subset in combinations(range(6), size):
-            A = cols[:, subset]
-            if size == 3:
-                try:
-                    k = np.linalg.solve(A, b)
-                except np.linalg.LinAlgError:
-                    continue
-            else:
-                k = np.linalg.lstsq(A, b, rcond=None)[0]
-            if float(np.min(k)) < -BOUND_TOL:
-                continue
-            if float(np.max(np.abs(A @ k - b))) <= RESIDUAL_TOL:
-                return True
-    return False
+    A = np.column_stack([*basis.columns(), (0.0, 0.0, 0.0)])[:, _SUBSETS].transpose(1, 0, 2)  # 41 x 3 x 3
+    k = np.linalg.pinv(A) @ b
+    residual = np.abs((A @ k[:, :, None])[:, :, 0] - b).max(axis=1)
+    return bool(np.any((k.min(axis=1) >= -BOUND_TOL) & (residual <= RESIDUAL_TOL)))

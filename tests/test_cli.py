@@ -509,13 +509,40 @@ class TestReuse:
         assert load_catalog()["bushing"][0].D == 34.0
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def module_and_in_process_runs(calls, pythonpath, workdir, monkeypatch, capsys):
+    """Stdout of each call and the files in `out`, from `python -m pivotgrasp.cli` and from `main`.
+
+    The module runs with only `pythonpath` on `PYTHONPATH`; each side works in its own
+    directory under `workdir`. Every call must exit 0.
+    """
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    outputs = {}
+    for side in ("module", "in_process"):
+        (workdir / side).mkdir()
+        monkeypatch.chdir(workdir / side)
+        for argv in calls:
+            if side == "module":
+                done = subprocess.run([sys.executable, "-m", "pivotgrasp.cli", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                code, out, err = done.returncode, done.stdout, done.stderr
+            else:
+                code = main(argv)
+                out, err = capsys.readouterr()
+            assert code == 0, err
+            outputs.setdefault(side, []).append(out)
+        outputs[side].append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+    return outputs
+
+
 class TestEntryPoint:
     """`python -m pivotgrasp.cli` run from another working directory writes what `main` writes.
 
     With `PYTHONPATH` set to `src` the package, and so `data/objects.json`, still comes from the
     source tree: this checks the module entry point and that no path depends on the working
-    directory, not that an installed package ships its data files (CI's "Installed entry point"
-    step checks that).
+    directory, not that a built package ships its data files (`TestBuiltPackage` checks that).
     """
 
     CALLS = [
@@ -526,21 +553,39 @@ class TestEntryPoint:
     ]
 
     def test_a_module_run_writes_what_an_in_process_run_writes(self, tmp_path, monkeypatch, capsys):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        outputs = {}
-        for side in ("module", "in_process"):
-            (tmp_path / side).mkdir()
-            monkeypatch.chdir(tmp_path / side)
-            for argv in self.CALLS:
-                if side == "module":
-                    done = subprocess.run([sys.executable, "-m", "pivotgrasp.cli", *argv], env=env,
-                                          capture_output=True, text=True, timeout=120)
-                    code, out, err = done.returncode, done.stdout, done.stderr
-                else:
-                    code = main(argv)
-                    out, err = capsys.readouterr()
-                assert code == 0, err
-                outputs.setdefault(side, []).append(out)
-            outputs[side].append({p.name: p.read_bytes() for p in Path("out").iterdir()})
+        outputs = module_and_in_process_runs(self.CALLS, ROOT / "src", tmp_path, monkeypatch, capsys)
         assert len(outputs["module"][-1]) == 3
+        assert outputs["module"] == outputs["in_process"]
+
+
+class TestBuiltPackage:
+    """The package as setuptools builds it ships its catalog and its script, checked offline.
+
+    `build_py` and `egg_info` write the importable tree and its metadata into a temporary
+    directory, without an install or a download. The calls are those of CI's "Installed
+    entry point" step, copied here, with a smaller region grid.
+    """
+
+    CALLS = [
+        ["beta-ub", "--object", "bushing", "--mu", "0,0,0.4", "--la", "0.9", "--alpha", "18deg"],
+        ["region", "--object", "bushing", "--mu", "0.2,0.4,0.4", "--la", "0.7", "--alpha-step", "5",
+         "--beta-step", "5", "--out-dir", "out"],
+        ["ci", "10/10", "9/10", "8/10", "3/10", "0/10"],
+    ]
+
+    def test_the_built_package_runs_like_the_source_tree(self, tmp_path, monkeypatch, capsys):
+        pytest.importorskip("setuptools")
+        build, tree = tmp_path / "build", {*ROOT.iterdir(), *(ROOT / "src").iterdir()}
+        subprocess.run(
+            [sys.executable, "-c", "import setuptools; setuptools.setup()",
+             "build_py", "-d", str(build), "egg_info", "--egg-base", str(build)],
+            cwd=ROOT, check=True, capture_output=True, timeout=120,
+        )
+        assert {*ROOT.iterdir(), *(ROOT / "src").iterdir()} == tree
+        assert (build / "pivotgrasp" / "data" / "objects.json").is_file()
+        entry_points = (build / "pivotgrasp.egg-info" / "entry_points.txt").read_text().splitlines()
+        assert "pivotgrasp = pivotgrasp.cli:main" in entry_points
+        outputs = module_and_in_process_runs(self.CALLS, build, tmp_path, monkeypatch, capsys)
+        assert json.loads(outputs["module"][0])["beta_ub_rad"] == 1.19832023
+        assert len(outputs["module"][-1]) == 2
         assert outputs["module"] == outputs["in_process"]

@@ -378,3 +378,27 @@ def test_catalog_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
     assert err.startswith(f"error: catalog {catalog} is not JSON: ")
     with pytest.raises(GeometryError, match="not JSON"):
         load_catalog(catalog)
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
+def test_catalog_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    catalog = tmp_path / "bad.json"
+    catalog.write_bytes(NOT_UTF8)
+    code, err = run([
+        "beta-ub", "--objects", str(catalog), "--object", "ring", "--mu", "0,0,0.4",
+        "--la", "0.9", "--alpha", "18deg",
+    ], capsys)
+    assert code == 2
+    assert err.startswith(f"error: catalog {catalog} is not UTF-8 text: ")
+    with pytest.raises(GeometryError, match="not UTF-8 text"):
+        load_catalog(catalog)
+
+
+def test_ci_infile_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    infile = tmp_path / "trials.csv"
+    infile.write_bytes(NOT_UTF8)
+    code, err = run(["ci", "--infile", str(infile)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {infile}: ") and "can't decode byte 0xff" in err

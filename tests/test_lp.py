@@ -30,7 +30,7 @@ from pivotgrasp.wrenches import (
     contact_wrench_basis,
     gravity_wrench,
 )
-from pivotgrasp.stability import UNIT_GRAVITY, default_alpha_grid, default_beta_grid
+from pivotgrasp.stability import UNIT_GRAVITY, default_alpha_grid, default_beta_grid, is_stable
 
 BUSHING = ObjectSpec("bushing", a=34.0, b=17.0, D=34.0, d=28.0)
 GRAVITY = gravity_wrench(BUSHING)
@@ -76,6 +76,32 @@ class TestForceBalance:
             assert not oracle_force_balance(below, GRAVITY)
             assert solve_force_balance(above, GRAVITY).feasible
             assert oracle_force_balance(above, GRAVITY)
+
+    def test_upright_closed_form_with_ground_friction_only(self):
+        # At beta = 90 deg with ground friction only, force balance holds iff
+        # l_a <= 1 - (b/a)/(2 mu_G), whatever the hole, the contact depth and alpha.
+        rng = random.Random(90)
+        checked = feasible = 0
+        for n in range(2100):
+            a = rng.uniform(5.0, 200.0)
+            b = a * rng.uniform(0.05, 1.5)
+            D = 2 * b if n % 2 else 2 * b * rng.uniform(0.5, 1.0)
+            obj = ObjectSpec("random", a=a, b=b, D=D, d=D * rng.uniform(0.2, 0.95), cylinder=D == 2 * b)
+            cfg = GraspConfig(
+                l_a=rng.uniform(0.01, 1.0), alpha=math.radians(rng.uniform(0.5, 89.5)),
+                beta=math.pi / 2, delta=rng.uniform(0.0, D / 2),
+            )
+            mu_g = rng.uniform(0.05, 2.0)
+            threshold = 1.0 - (b / a) / (2 * mu_g)
+            if abs(cfg.l_a - threshold) <= 1e-6:
+                continue
+            expected = cfg.l_a <= threshold
+            friction = FrictionSet(0.0, 0.0, mu_g)
+            assert is_stable(obj, cfg, friction) == expected, (obj, cfg, mu_g)
+            assert oracle_force_balance(contact_wrench_basis(obj, cfg, friction), UNIT_GRAVITY) == expected
+            checked += 1
+            feasible += expected
+        assert checked >= 2000 and 0 < feasible < checked
 
     def test_quarter_alpha_flat_infeasible_with_ground_friction(self):
         # pi/4 lies below the flat-position feasibility boundary above.
@@ -156,6 +182,16 @@ class TestOracle:
         assert oracle_force_balance(basis, w.scaled(-3.0))
         assert not oracle_force_balance(basis, w.scaled(3.0))
         assert not oracle_force_balance(basis, Wrench(0.2, 0.6, 0.5))
+
+    def test_coplanar_columns_need_pairs_and_single_columns(self):
+        # Every triple of coplanar columns is singular; a target on one column
+        # lies in the cone of a single column or a pair only.
+        u, v = np.array([0.3, 1.0, 0.0]), np.array([0.1, 0.0, 1.0])
+        basis = WrenchBasis(tuple(Wrench(*c) for c in (u, v, u + v, 2 * u + v, u + 2 * v, -u)))
+        for target, inside in ((u, True), (-u, True), (v, True), (u + 3 * v, True),
+                               (-v, False), (u - v, False), (np.cross(u, v), False)):
+            assert oracle_force_balance(basis, Wrench(*-target)) == inside, target
+            assert solve_force_balance(basis, Wrench(*-target)).feasible == inside, target
 
     def test_agrees_with_simplex_on_random_configs(self):
         rng = random.Random(1234)
@@ -322,9 +358,10 @@ class TestAgainstHighs:
 
     Both HiGHS LPs solve all cells at once, block-diagonally. Feasibility is a
     zero L1 distance of the target from the cone in the normalised frame of
-    the kernel (moment row over the half-length, unit columns and target); it
-    must match wherever the cone score lies outside the band. Objectives must
-    match within 1e-9 relative on every cell both call feasible.
+    the kernel (moment row over the half-length, unit columns and target); the
+    certificate's, and in force balance the oracle's, must match it wherever
+    the cone score lies outside the band. Objectives must match within 1e-9
+    relative on every cell both call feasible.
     """
 
     @pytest.fixture(scope="class")
@@ -372,6 +409,9 @@ class TestAgainstHighs:
         highs = distance.x.reshape(-1, 12)[:, 6:].sum(axis=1) <= 1e-9
         decided = np.abs(score) > CONE_BAND
         assert np.array_equal(feasible[decided], highs[decided])
+        if mode == "force_balance":
+            oracle = np.array([oracle_force_balance(basis, UNIT_GRAVITY) for _, basis in cells])
+            assert np.array_equal(oracle[decided], highs[decided])
 
         both = feasible & highs
         rhs = targets[both] if mode == "force_balance" else np.zeros((int(both.sum()), 3))
